@@ -16,7 +16,7 @@ from repro.sim import Simulator
 
 
 def _set_fast_path(enabled: bool) -> None:
-    perfmodel.configure(cache_enabled=enabled, vectorised=enabled)
+    perfmodel.configure(cache_enabled=enabled)
     timing.configure_cache(enabled)
 
 
@@ -28,8 +28,7 @@ def _restore() -> None:
 
 def test_fig19_report_identical_with_and_without_perf_layer():
     """End-to-end determinism: a full multiprogramming experiment
-    produces byte-identical JSON with the caches/vectorisation on and
-    off."""
+    produces byte-identical JSON with the caches on and off."""
     try:
         _set_fast_path(False)
         reference = fig19_combo_schedulers(("A",)).to_json()

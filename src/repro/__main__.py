@@ -113,30 +113,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
         write_bench_json,
     )
 
-    payload = run_bench(
-        quick=args.quick, include_baseline=not args.no_baseline
-    )
+    payload = run_bench(quick=args.quick)
     width = max(len(name) for name in payload["targets"])
     for name, entry in payload["targets"].items():
-        line = (
+        print(
             f"{name.ljust(width)}  {entry['wall_s']:8.3f}s  "
             f"{entry['events']:>9,.0f} events  "
             f"{entry['events_per_sec']:>12,.0f} ev/s"
         )
-        baseline = payload.get("baseline") or {}
-        if name in baseline:
-            ratio = baseline[name]["wall_s"] / max(entry["wall_s"], 1e-12)
-            line += f"  {ratio:5.2f}x vs baseline"
-        print(line)
     totals = payload["totals"]
-    summary = (
+    print(
         f"{'TOTAL'.ljust(width)}  {totals['wall_s']:8.3f}s  "
         f"{totals['events']:>9,.0f} events  "
         f"{totals['events_per_sec']:>12,.0f} ev/s"
     )
-    if "speedup_vs_baseline" in totals:
-        summary += f"  {totals['speedup_vs_baseline']:5.2f}x vs baseline"
-    print(summary)
     for cache in ("perfmodel.knee", "perfmodel.min_time"):
         stats = payload["caches"].get(cache, {})
         print(f"{cache} hit rate: {stats.get('hit_rate', 0.0):.1%}")
@@ -686,12 +676,6 @@ def main(argv: list[str] | None = None) -> int:
     bench.add_argument(
         "--out", metavar="PATH", default=None,
         help="output path (default: BENCH_<date>.json in the CWD)",
-    )
-    bench.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="skip the uncached/scalar reference pass (halves runtime, "
-        "drops the speedup_vs_baseline field)",
     )
     bench.add_argument(
         "--check", metavar="PATH", default=None,

@@ -25,11 +25,12 @@ dispatch round (every job is planned on every memory, and the global
 scheduler replans the adaptive queues).  Both estimate classes are
 frozen (hashable by value), so the searches are memoised behind small
 LRU caches keyed on ``(estimate, max_arrays)``; the grid/inversion
-math is evaluated with vectorised NumPy batches instead of per-point
-Python loops.  Both behaviours are switchable::
+math is evaluated with one NumPy batch per grid instead of per-point
+Python loops.  The caches are switchable, which gives tests their
+uncached reference::
 
     from repro.core import perfmodel
-    perfmodel.configure(cache_enabled=False, vectorised=False)  # pre-PR path
+    perfmodel.configure(cache_enabled=False)  # uncached reference
     perfmodel.cache_stats()   # {"perfmodel.knee": {"hits": ..., ...}, ...}
     perfmodel.clear_caches()
 
@@ -77,23 +78,14 @@ class PerfModelConfig:
     """Knobs for the perf layer (see module docstring).
 
     ``cache_enabled`` gates the LRU memoisation of the allocation
-    searches *and* the :class:`PlannedJob` estimated-time memo;
-    ``vectorised`` selects NumPy batch evaluation of t(x, m) over the
-    grid vs the legacy per-point loop.  Disabling both reproduces the
-    pre-perf-layer behaviour exactly (the ``repro bench`` baseline
-    mode).
+    searches *and* the :class:`PlannedJob` estimated-time memo.
     """
 
     cache_enabled: bool = True
-    vectorised: bool = True
-    cache_maxsize: int = 4096
-    #: Run the dispatcher's phase chain through the columnar flight
-    #: table (struct-of-arrays rows fired straight from the event heap)
-    #: instead of per-launch Python closures.  Both paths are
-    #: byte-identical by construction; the flag exists for the
-    #: differential test suite and the bench baseline.
-    columnar: bool = True
 
+
+#: Entries per LRU cache.
+CACHE_MAXSIZE = 4096
 
 _CONFIG = PerfModelConfig()
 
@@ -109,7 +101,7 @@ class _LRUCache:
 
     __slots__ = ("name", "maxsize", "hits", "misses", "_data")
 
-    def __init__(self, name: str, maxsize: int = 4096) -> None:
+    def __init__(self, name: str, maxsize: int = CACHE_MAXSIZE) -> None:
         self.name = name
         self.maxsize = maxsize
         self.hits = 0
@@ -158,30 +150,13 @@ def perf_config() -> PerfModelConfig:
     return _CONFIG
 
 
-def configure(
-    cache_enabled: bool | None = None,
-    vectorised: bool | None = None,
-    cache_maxsize: int | None = None,
-    columnar: bool | None = None,
-) -> PerfModelConfig:
+def configure(cache_enabled: bool | None = None) -> PerfModelConfig:
     """Adjust the perf layer; ``None`` leaves a knob unchanged.
 
-    Returns the live config.  Shrinking ``cache_maxsize`` below the
-    current cache population evicts oldest entries lazily on the next
-    insert.
+    Returns the live config.
     """
     if cache_enabled is not None:
         _CONFIG.cache_enabled = bool(cache_enabled)
-    if vectorised is not None:
-        _CONFIG.vectorised = bool(vectorised)
-    if columnar is not None:
-        _CONFIG.columnar = bool(columnar)
-    if cache_maxsize is not None:
-        if cache_maxsize < 1:
-            raise ValueError("cache_maxsize must be >= 1")
-        _CONFIG.cache_maxsize = int(cache_maxsize)
-        for cache in _ALL_CACHES:
-            cache.maxsize = _CONFIG.cache_maxsize
     return _CONFIG
 
 
@@ -468,15 +443,14 @@ def estimate_from_profile(
 
 def _grid_times(estimate, grid: np.ndarray) -> np.ndarray:
     """t(x, m) over the whole grid: one NumPy batch when the estimate
-    supports it (and vectorisation is on), else the legacy loop.
+    supports it, else a per-point loop.
 
-    Duck-typed estimates without ``total_time_batch`` always take the
-    scalar path, so third-party estimate objects keep working.
+    Duck-typed estimates without ``total_time_batch`` take the scalar
+    loop, so third-party estimate objects keep working.
     """
-    if _CONFIG.vectorised:
-        batch = getattr(estimate, "total_time_batch", None)
-        if batch is not None:
-            return np.asarray(batch(grid), dtype=float)
+    batch = getattr(estimate, "total_time_batch", None)
+    if batch is not None:
+        return np.asarray(batch(grid), dtype=float)
     return np.asarray([estimate.total_time(int(m)) for m in grid], dtype=float)
 
 

@@ -1,6 +1,5 @@
 """Event-driven simulation substrate: engine, main memory, energy, traces."""
 
-from .columnar import FlightColumns
 from .energy import EnergyCategory, EnergyLedger
 from .engine import SimulationError, Simulator
 from .events import Event, EventHandle, JobArrival
@@ -19,7 +18,6 @@ __all__ = [
     "SharedBandwidthPipe",
     "Transfer",
     "ExecutionTrace",
-    "FlightColumns",
     "Phase",
     "StreamingTrace",
     "TraceRecord",

@@ -9,9 +9,9 @@ occupancy, job queues and shared-bandwidth transfers.
 
 The hot loop is written for throughput:
 
-* Heap entries are plain ``(time, seq, payload)`` tuples, so every
+* Heap entries are plain ``(time, seq, event)`` tuples, so every
   sift during push/pop compares in C instead of calling a Python
-  ``__lt__`` (``seq`` is unique, so the payload is never compared).
+  ``__lt__`` (``seq`` is unique, so the event is never compared).
 * :meth:`Simulator.run` drains every event sharing a timestamp in one
   chunk (one heap-top comparison per event instead of a full Python
   loop iteration of bookkeeping).
@@ -20,13 +20,6 @@ The hot loop is written for throughput:
   (processor-sharing pipes cancel and reschedule completions on every
   membership change, so tombstones are the common case, not the
   exception).
-* Besides callback events, the loop can fire *rows* of an attached
-  columnar flight table (:meth:`at_row`): the payload is a bare row
-  index and the transition logic lives in one handler, so the
-  dispatcher's phase chain needs no per-phase closure or
-  :class:`Event` object at all.  Row entries share the ``seq`` counter
-  with ordinary events, which makes the interleaving of the columnar
-  and object-based dispatch paths identical by construction.
 """
 
 from __future__ import annotations
@@ -61,13 +54,11 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        #: Heap of ``(time, seq, payload)``; payload is an
-        #: :class:`Event` or an ``int`` row index of the attached table.
-        self._queue: list[tuple[float, int, Any]] = []
+        #: Heap of ``(time, seq, event)``.
+        self._queue: list[tuple[float, int, Event]] = []
         self._processed = 0
         self._active = 0
         self._tombstones = 0
-        self._fire_row: Callable[[int], None] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -115,38 +106,6 @@ class Simulator:
         return self.at(arrival.time, callback, arrival)
 
     # ------------------------------------------------------------------
-    def attach_row_handler(self, fire: Callable[[int], None]) -> None:
-        """Register the columnar table's transition handler.
-
-        Row entries scheduled with :meth:`at_row` fire through this
-        single handler; one simulator owns at most one table.
-        """
-        if self._fire_row is not None:
-            raise SimulationError("a row handler is already attached")
-        self._fire_row = fire
-
-    def at_row(self, time: float, row: int) -> None:
-        """Schedule row ``row`` of the attached table at ``time``.
-
-        Row entries are not cancellable (stale transitions are expected
-        to no-op inside the handler, exactly like the object path's
-        ``live()`` guard) and carry no :class:`Event`; they consume a
-        ``seq`` like any event, so ordering against callback events is
-        the same as if :meth:`at` had been used.
-        """
-        if time < self._now:
-            raise SimulationError(f"cannot schedule at {time} < now {self._now}")
-        heapq.heappush(self._queue, (time, self._seq, row))
-        self._seq += 1
-        self._active += 1
-
-    def after_row(self, delay: float, row: int) -> None:
-        """Schedule row ``row`` after ``delay`` seconds."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self.at_row(self._now + delay, row)
-
-    # ------------------------------------------------------------------
     def _note_cancelled(self) -> None:
         """Called by :meth:`EventHandle.cancel`: keep the O(1) pending
         count exact and remember the tombstone for compaction."""
@@ -157,14 +116,9 @@ class Simulator:
         """Drop every tombstone and re-heapify in one pass.
 
         Only called between chunks (no popped-but-unexecuted events in
-        flight), where the tombstone count is exact.  Row entries are
-        never tombstones.
+        flight), where the tombstone count is exact.
         """
-        self._queue = [
-            entry
-            for entry in self._queue
-            if type(entry[2]) is int or not entry[2].cancelled
-        ]
+        self._queue = [entry for entry in self._queue if not entry[2].cancelled]
         heapq.heapify(self._queue)
         self._tombstones = 0
 
@@ -172,7 +126,9 @@ class Simulator:
         """Process events until the queue empties or the horizon passes.
 
         Returns the final simulation time.  ``max_events`` is a
-        runaway guard for tests.
+        runaway guard for tests.  A horizon ``until`` before the current
+        time is rejected like scheduling in the past: sim time never
+        moves backwards.
 
         Ready events are drained in same-timestamp chunks: the chunk
         is popped off the heap in one burst, then executed in seq
@@ -182,13 +138,13 @@ class Simulator:
         form the next chunk (they carry higher seq numbers, so
         ordering is unchanged from the one-at-a-time loop).
         """
+        if until is not None and until < self._now:
+            raise SimulationError(f"cannot run until {until} < now {self._now}")
         queue = self._queue
-        fire_row = self._fire_row
-        chunk: list[tuple[float, int, Any]] = []
+        chunk: list[tuple[float, int, Event]] = []
         while queue:
             head = queue[0]
-            payload = head[2]
-            if type(payload) is not int and payload.cancelled:
+            if head[2].cancelled:
                 heapq.heappop(queue)
                 self._tombstones -= 1
                 continue
@@ -199,15 +155,14 @@ class Simulator:
             del chunk[:]
             while queue and queue[0][0] == chunk_time:
                 entry = heapq.heappop(queue)
-                payload = entry[2]
-                if type(payload) is not int and payload.cancelled:
+                if entry[2].cancelled:
                     self._tombstones -= 1
                     continue
                 chunk.append(entry)
             self._now = chunk_time
             for idx, entry in enumerate(chunk):
-                payload = entry[2]
-                if type(payload) is not int and payload.cancelled:
+                event = entry[2]
+                if event.cancelled:
                     # Cancelled by an earlier callback in this chunk.
                     self._tombstones -= 1
                     continue
@@ -221,11 +176,8 @@ class Simulator:
                     raise SimulationError(f"exceeded max_events={max_events}")
                 self._processed += 1
                 self._active -= 1
-                if type(payload) is int:
-                    fire_row(payload)
-                else:
-                    payload.executed = True
-                    payload.callback(*payload.args)
+                event.executed = True
+                event.callback(*event.args)
             if (
                 self._tombstones >= _COMPACT_MIN_TOMBSTONES
                 and self._tombstones * 2 > len(queue)
@@ -233,26 +185,20 @@ class Simulator:
                 self._compact()
                 queue = self._queue
         if until is not None:
-            self._now = max(self._now, until)
+            self._now = until
         return self._now
 
     def step(self) -> bool:
         """Process exactly one event; returns False when queue is empty."""
         while self._queue:
-            time, _, payload = heapq.heappop(self._queue)
-            if type(payload) is int:
-                self._now = time
-                self._processed += 1
-                self._active -= 1
-                self._fire_row(payload)
-                return True
-            if payload.cancelled:
+            time, _, event = heapq.heappop(self._queue)
+            if event.cancelled:
                 self._tombstones -= 1
                 continue
             self._now = time
-            payload.executed = True
+            event.executed = True
             self._processed += 1
             self._active -= 1
-            payload.callback(*payload.args)
+            event.callback(*event.args)
             return True
         return False

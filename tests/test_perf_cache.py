@@ -25,10 +25,10 @@ from repro.memories import MemoryKind
 def _fresh_perf_layer():
     """Every test starts from (and leaves behind) the default config
     with empty caches -- the caches are process-global."""
-    perfmodel.configure(cache_enabled=True, vectorised=True)
+    perfmodel.configure(cache_enabled=True)
     perfmodel.clear_caches()
     yield
-    perfmodel.configure(cache_enabled=True, vectorised=True)
+    perfmodel.configure(cache_enabled=True)
     perfmodel.clear_caches()
 
 
@@ -142,6 +142,19 @@ class TestCacheCorrectness:
             grid[0] = 1
 
 
+class ScalarOnly:
+    """Thin wrapper hiding ``total_time_batch``, so the allocation
+    searches fall back to the per-point scalar loop."""
+
+    def __init__(self, estimate) -> None:
+        self._estimate = estimate
+
+    def __getattr__(self, name):
+        if name == "total_time_batch":
+            raise AttributeError(name)
+        return getattr(self._estimate, name)
+
+
 class TestVectorisedParity:
     def test_batch_total_time_matches_scalar(self):
         for est in sweep_estimates():
@@ -152,10 +165,12 @@ class TestVectorisedParity:
 
     def test_vectorised_and_scalar_searches_agree(self):
         for est in sweep_estimates():
-            perfmodel.configure(cache_enabled=False, vectorised=False)
-            knee_ref = knee_allocation(est, 900)
-            min_ref = min_time_allocation(est, 900)
-            perfmodel.configure(vectorised=True)
+            perfmodel.configure(cache_enabled=False)
+            scalar = ScalarOnly(est)
+            assert not hasattr(scalar, "total_time_batch")
+            knee_ref = knee_allocation(scalar, 900)
+            min_ref = min_time_allocation(scalar, 900)
+            perfmodel.configure(cache_enabled=True)
             assert knee_allocation(est, 900) == knee_ref
             assert min_time_allocation(est, 900) == min_ref
 

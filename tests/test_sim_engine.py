@@ -73,6 +73,23 @@ class TestScheduling:
         sim.run()
         assert log == ["early", "late"]
 
+    def test_run_until_in_past_rejected(self):
+        """A horizon behind the clock must not rewind sim time: an event
+        scheduled afterwards could otherwise fire before one that was
+        already processed."""
+        sim = Simulator()
+        log = []
+        sim.at(5.0, log.append, 5.0)
+        sim.at(10.0, log.append, 10.0)
+        sim.run(until=6.0)
+        with pytest.raises(SimulationError):
+            sim.run(until=3.0)
+        assert sim.now == 6.0
+        with pytest.raises(SimulationError):
+            sim.at(4.0, log.append, 4.0)
+        sim.run()
+        assert log == [5.0, 10.0]
+
     def test_max_events_guard(self):
         sim = Simulator()
 
