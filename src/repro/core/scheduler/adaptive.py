@@ -66,6 +66,10 @@ class AdaptivePolicy(DispatchPolicy):
 
     def notify_completion(self, job: Job, kind: MemoryKind, now: float) -> None:
         self._inflight.get(kind, {}).pop(job.job_id, None)
+        # A plan lives from admit to completion: ``device_lost``
+        # re-places in-flight victims through it, so dispatch keeps it.
+        if self._plans is not None:
+            self._plans.pop(job.job_id, None)
 
     # -- graceful degradation (repro.faults) ---------------------------
     def _scaled_time(self, entry: PlannedJob, kind: MemoryKind) -> float:
@@ -112,9 +116,17 @@ class AdaptivePolicy(DispatchPolicy):
         queues), then restore longest-first dispatch order."""
         if self._system is not None and self._queues and self._plans is not None:
             alive = [k for k in self._system.kinds if k in self._queues]
+            # Alg. 1 reads only queued jobs' plans: O(queued), not
+            # O(plan table).
+            queued = [
+                e.job.job_id for entries in self._queues.values() for e in entries
+            ]
             plans = {
-                job_id: {k: e for k, e in options.items() if k in self._queues}
-                for job_id, options in self._plans.items()
+                job_id: {
+                    k: e for k, e in self._plans[job_id].items() if k in self._queues
+                }
+                for job_id in queued
+                if job_id in self._plans
             }
             self._queues = inter_queue_adjust(
                 self._queues, plans, self._system.subset(alive)

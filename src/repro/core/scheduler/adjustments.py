@@ -174,12 +174,14 @@ def inter_queue_adjust(
 ) -> dict[MemoryKind, list[PlannedJob]]:
     """Algorithm 1: balance estimated drain time across queues.
 
-    ``plans`` holds every job's pre-computed plan on every supported
+    ``plans`` holds each job's pre-computed plan on every supported
     memory (built once during planning), so candidate evaluation is a
-    lookup.  Each round migrates the job out of the most-loaded queue
-    that best reduces the drain-time spread; the loop stops when the
-    queues are within epsilon or no migration improves (the paper's
-    "if t-bar improves else break").
+    lookup.  It may hold more jobs than the queues: only queue members
+    are ranked, so the set-up costs O(queued), and a member with no
+    plan on a target is never moved there.  Each round migrates the job
+    out of the most-loaded queue that best reduces the drain-time
+    spread; the loop stops when the queues are within epsilon or no
+    migration improves (the paper's "if t-bar improves else break").
     """
     queues = {kind: list(entries) for kind, entries in queues.items()}
     if max_rounds is None:
@@ -219,9 +221,9 @@ def inter_queue_adjust(
     by_target: dict[MemoryKind, list[str]] = {}
     for kind in queues:
         ranked = [
-            (options[kind].est_time, job_id)
-            for job_id, options in plans.items()
-            if kind in options and job_id in member
+            (plans[job_id][kind].est_time, job_id)
+            for job_id in member
+            if kind in plans.get(job_id, ())
         ]
         ranked.sort()
         by_target[kind] = [job_id for _, job_id in ranked]

@@ -103,6 +103,12 @@ class EWTPolicy(DispatchPolicy):
     def queue_depths(self) -> dict[str, int]:
         return {kind.value: len(entries) for kind, entries in self._queues.items()}
 
+    def notify_completion(self, job: Job, kind: MemoryKind, now: float) -> None:
+        # A plan lives from admit to completion: ``device_lost``
+        # re-places in-flight victims through it, so dispatch keeps it.
+        if self._plans is not None:
+            self._plans.pop(job.job_id, None)
+
     def next_dispatches(self, view: ResourceView) -> list[Dispatch]:
         dispatches: list[Dispatch] = []
         free_slots = dict(view.free_slots)

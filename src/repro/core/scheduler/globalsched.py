@@ -208,6 +208,12 @@ class GlobalPolicy(DispatchPolicy):
         # rebuilt on re-plan): the dispatcher polls this per pump.
         return dict(self._depths)
 
+    def notify_completion(self, job: Job, kind: MemoryKind, now: float) -> None:
+        # A plan lives from admit to completion: ``device_lost``
+        # re-places in-flight victims through it, so dispatch keeps it.
+        if self._plans is not None:
+            self._plans.pop(job.job_id, None)
+
     def next_event_time(self, now: float) -> float | None:
         if not self._schedule:
             return None

@@ -20,10 +20,14 @@ from repro.core import (
     LJFScheduler,
     OraclePredictor,
 )
-from repro.faults import FaultPlan
+from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.harness.config import full_system
+from repro.memories import MemoryKind
 
 SCHEDULERS = ("ljf", "adaptive", "global", "ewt")
+#: The schedulers that keep a per-job plan table (``_plans``) and
+#: re-place lost work through it.
+PLAN_TABLE_SCHEDULERS = ("adaptive", "ewt", "global")
 
 _CLASSES = {
     "ljf": LJFScheduler,
@@ -70,6 +74,22 @@ def run_batch(scheduler: str, jobs, faults=None, label: str = ""):
 def random_plan(seed: int, horizon_s: float, **kwargs) -> FaultPlan:
     """Seeded random fault plan against the full system's devices."""
     return FaultPlan.random(seed, full_system().kinds, horizon_s, **kwargs)
+
+
+def device_loss_plan(
+    device: MemoryKind = MemoryKind.RERAM, time: float = 0.0005
+) -> FaultPlan:
+    """One permanent device loss at ``time``.  Against
+    :func:`serve_overloaded` at the defaults it lands after hundreds of
+    completions, while the policy holds queued and in-flight jobs."""
+    return FaultPlan(
+        events=(
+            FaultEvent(
+                kind=FaultKind.FAIL, device=device, time=time, reason="device lost"
+            ),
+        ),
+        seed=3,
+    )
 
 
 def trace_key(result) -> list[tuple]:

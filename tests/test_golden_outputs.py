@@ -3,9 +3,11 @@
 Each scenario renders its outputs as full-precision sorted JSON and
 pins the sha256 of that string: the batch traces and exported payloads
 per scheduler, the Fig. 19 combo batches, the Fig. 11/15/19 figure
-targets on ``collab``, a seeded fault plan per scheduler and a seeded
-two-tenant serving report.  Any change to the dispatcher, engine or
-perf model that moves one simulated byte fails here.
+targets on ``collab``, a seeded fault plan per scheduler, a seeded
+two-tenant serving report and, per plan-table scheduler, a seeded
+overloaded serve that loses a device mid-run.  Any change to the
+dispatcher, engine or perf model that moves one simulated byte fails
+here.
 
 After a deliberate change of simulated output, print the new table
 with ``PYTHONPATH=src python -m tests.test_golden_outputs`` and record
@@ -29,10 +31,13 @@ from repro.memories import DEFAULT_SPECS
 from repro.obs.export import result_payload
 from repro.serving import PoissonArrivals, ServingRuntime, Tenant
 from tests.prophelpers import (
+    PLAN_TABLE_SCHEDULERS,
     SCHEDULERS,
+    device_loss_plan,
     make_jobs,
     random_plan,
     run_batch,
+    serve_overloaded,
     trace_key,
 )
 
@@ -56,6 +61,9 @@ GOLDEN = {
     "faults[global]": "6841f8ad429845ee7956f732a567f42e46986e16cb1d57322d43709a9d61c1fd",
     "faults[ewt]": "09ebb13844c548c1df97845435a2b496e3d07cdcf45c7b5e8721e107d5464f56",
     "serving": "0d67e532a862fe811ffacf6ce6ee11a54c6b16016180408d385e6bfc3a581430",
+    "serving_faults[adaptive]": "0129d44f6a1ee3760e30529cc5aecf79cd5eba8c564aa2cb92440349d092477f",
+    "serving_faults[ewt]": "2c30bece5139c2bce4af52a5e45f301995d4669f632a5cb38f89e311892800f6",
+    "serving_faults[global]": "1d04346839045f5349324cf93171d6c95d719ffce19785a1bfcaf9d8ece5b134",
 }
 
 
@@ -117,6 +125,20 @@ def serving():
     }
 
 
+def serving_faults(scheduler):
+    """Overloaded seeded serve that loses ReRAM at 0.5 ms: by then
+    hundreds of jobs have completed, and the policy holds queued and
+    in-flight jobs that it must re-place from its plan table."""
+    plan = device_loss_plan()
+    served = serve_overloaded(scheduler, horizon=0.001, faults=plan)
+    return {
+        "report": served.report.as_dict(),
+        "trace": trace_key(served.result),
+        "failed_jobs": served.result.failed_jobs,
+        "fault_summary": served.result.fault_summary,
+    }
+
+
 #: ``name -> thunk`` for every pinned scenario, in table order.
 SCENARIOS = {
     **{
@@ -133,6 +155,10 @@ SCENARIOS = {
         for scheduler in SCHEDULERS
     },
     "serving": serving,
+    **{
+        f"serving_faults[{scheduler}]": (lambda s=scheduler: serving_faults(s))
+        for scheduler in PLAN_TABLE_SCHEDULERS
+    },
 }
 
 
@@ -170,6 +196,11 @@ def test_seeded_fault_run_digest(scheduler):
 
 def test_seeded_serving_report_digest():
     check("serving")
+
+
+@pytest.mark.parametrize("scheduler", PLAN_TABLE_SCHEDULERS)
+def test_seeded_faulted_serving_digest(scheduler):
+    check(f"serving_faults[{scheduler}]")
 
 
 if __name__ == "__main__":
