@@ -23,8 +23,14 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
+
+from .cluster.placement import PLACEMENTS
+from .core.runtime import SCHEDULERS, make_scheduler
+from .harness.replay import HORIZON_CONFIG
+from .harness.scenario import ADMISSIONS, SYSTEMS, Scenario, ScenarioError
 
 
 def _registry() -> dict:
@@ -104,8 +110,6 @@ def cmd_run(names: list[str], parallel: int | None = None) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """Time the pinned perf suite and write ``BENCH_<date>.json``."""
-    import json
-
     from .harness.bench import (
         check_cache_health,
         check_regression,
@@ -163,16 +167,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
         runtime.submit_many(combo_jobs(args.target, DEFAULT_SPECS))
         results = [runtime.run(label=f"{args.scheduler}/{args.target}")]
     elif args.target in DATASETS:
-        from .core.predictor import OraclePredictor
-        from .core.runtime import _SCHEDULERS
         from .harness.gnn import build_workload, run_workload
 
         if args.batches < 1:
             print("--batches must be at least 1", file=sys.stderr)
             return 2
         workload = build_workload(args.target, num_batches=args.batches)
-        scheduler = _SCHEDULERS[args.scheduler](OraclePredictor())
-        summary = run_workload(workload, scheduler)
+        summary = run_workload(workload, make_scheduler(args.scheduler))
         results = summary.results
     else:
         known = sorted(COMBOS) + sorted(DATASETS)
@@ -281,56 +282,133 @@ def cmd_predictor(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The flags ``serve``, ``cluster`` and ``replay`` share, one row per
+#: :class:`~repro.harness.scenario.Scenario` field: (flag, argparse
+#: keywords).  Each command takes the defaults from its preset.
+_SCENARIO_FLAGS = {
+    "seed": ("--seed", dict(
+        type=int,
+        help="arrival/workload seed; same seed -> byte-identical output "
+        "(replay derives window w's seed from (seed, w))",
+    )),
+    "rate": ("--rate", dict(
+        type=float, metavar="JOBS_PER_S",
+        help="aggregate Poisson arrival rate in jobs/second",
+    )),
+    "tenants": ("--tenants", dict(
+        type=int, metavar="N",
+        help="tenant count, tenant i of N weighted N - i (trace arrivals "
+        "name their own tenants)",
+    )),
+    "slo_s": ("--slo", dict(
+        type=float, metavar="MS",
+        help="per-tenant sojourn-time SLO in milliseconds",
+    )),
+    "scheduler": ("--scheduler", dict(
+        choices=list(SCHEDULERS), help="per-node scheduling policy",
+    )),
+    "system": ("--system", dict(
+        choices=list(SYSTEMS),
+        help="per-node device set: full Table III or the scaled GNN system",
+    )),
+    "queue_limit": ("--queue-limit", dict(
+        type=int, metavar="N",
+        help="per-tenant bounded-queue depth per node; overflow is shed",
+    )),
+    "max_backlog": ("--max-backlog", dict(
+        type=int, metavar="N",
+        help="released-but-undispatched jobs each node's policy may hold",
+    )),
+    "admission": ("--admission", dict(
+        choices=list(ADMISSIONS),
+        help="arrival-time admission per node: 'shed' keeps the "
+        "queue-overflow-only baseline; 'predictive' rejects jobs whose "
+        "predicted sojourn would miss the tenant's SLO",
+    )),
+    "admission_margin": ("--admission-margin", dict(
+        type=float, metavar="FACTOR",
+        help="admit while predicted sojourn <= SLO x FACTOR; >1 admits "
+        "optimistically, <1 leaves headroom",
+    )),
+    "nodes": ("--nodes", dict(
+        type=int, metavar="N",
+        help="cluster node count; replay's 0 serves one node without "
+        "the cluster layer",
+    )),
+    "placement": ("--placement", dict(
+        choices=list(PLACEMENTS),
+        help="cluster placement policy; 'feedback' biases least-loaded "
+        "by per-node report feedback across replay windows (the weights "
+        "ride the checkpoint) and equals it on a single run",
+    )),
+}
+
+
+def _add_scenario_flags(parser, preset: Scenario, skip=()) -> None:
+    """Add the shared flags to ``parser``, defaulting to ``preset``."""
+    for field, (flag, kwargs) in _SCENARIO_FLAGS.items():
+        if field in skip:
+            continue
+        default = getattr(preset, field)
+        if field == "slo_s":
+            default *= 1e3  # the flag is in milliseconds
+        parser.add_argument(
+            flag,
+            default=default,
+            **{**kwargs, "help": kwargs["help"] + " (default: %(default)s)"},
+        )
+
+
+def _scenario_fields(args: argparse.Namespace) -> dict:
+    """The Scenario fields the shared flags set on ``args``."""
+    fields = {}
+    for field, (flag, _) in _SCENARIO_FLAGS.items():
+        dest = flag[2:].replace("-", "_")
+        if hasattr(args, dest):
+            fields[field] = getattr(args, dest)
+    fields["slo_s"] = args.slo * 1e-3  # the flag is in milliseconds
+    return fields
+
+
+def _bad_value(error: ValueError) -> int:
+    """Print an out-of-range value as one line, named by its flag."""
+    if isinstance(error, ScenarioError):
+        error = f"{_SCENARIO_FLAGS[error.field][0]} {error.rule}"
+    print(error, file=sys.stderr)
+    return 2
+
+
+def _write_json(path: str, payload: dict) -> None:
+    from pathlib import Path
+
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    print(f"wrote {path}")
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     """Open-system serving run: arrivals, admission, per-tenant SLOs."""
-    import json
-
     from .faults.plan import FaultPlan
-    from .harness.config import full_system, gnn_system
-    from .serving import (
-        PoissonArrivals,
-        ServingRuntime,
-        Tenant,
-        TraceArrivals,
-    )
+    from .serving import TraceArrivals
 
-    if args.tenants < 1:
-        print("--tenants must be at least 1", file=sys.stderr)
-        return 2
-    if args.slo <= 0:
-        print("--slo must be positive (milliseconds)", file=sys.stderr)
-        return 2
-    if args.arrivals == "poisson":
-        tenant_names = tuple(f"tenant-{i}" for i in range(args.tenants))
-        process = PoissonArrivals(
-            rate=args.rate,
-            horizon=args.horizon,
-            seed=args.seed,
-            tenants=tenant_names,
-        )
-    else:
+    tenants = None
+    try:
+        scenario = Scenario(**_scenario_fields(args))
+        if args.arrivals == "poisson":
+            process = scenario.poisson(args.horizon)
+    except ValueError as error:
+        return _bad_value(error)
+    if args.arrivals == "trace":
         if not args.trace_file:
             print("--arrivals trace needs --trace-file PATH", file=sys.stderr)
             return 2
         process = TraceArrivals(path=args.trace_file, seed=args.seed)
-        tenant_names = tuple(
-            sorted({str(e["tenant"]) for e in process.entries()})
-        )
-        if not tenant_names:
+        names = tuple(sorted({str(e["tenant"]) for e in process.entries()}))
+        if not names:
             print(f"trace {args.trace_file} has no arrivals", file=sys.stderr)
             return 2
-    # Earlier tenants get higher weights (a deliberate asymmetry so the
-    # weighted-fair release is visible in the report).
-    tenants = [
-        Tenant(
-            name,
-            weight=float(len(tenant_names) - i),
-            queue_limit=args.queue_limit,
-        )
-        for i, name in enumerate(tenant_names)
-    ]
-    faults = FaultPlan.load(args.faults) if args.faults else None
-    system = gnn_system() if args.system == "gnn" else full_system()
+        tenants = scenario.tenant_list(names)
     predictor = None
     if args.predictor == "online":
         from .core.predictor import OnlinePredictor
@@ -340,58 +418,38 @@ def cmd_serve(args: argparse.Namespace) -> int:
         from .core.predictor import MLPPredictor
 
         predictor = MLPPredictor.load(args.predictor)
-    runtime = ServingRuntime(
-        system,
-        scheduler=args.scheduler,
-        max_backlog=args.max_backlog,
+    served = scenario.run(
+        process,
+        "serve",
+        tenants=tenants,
+        faults=FaultPlan.load(args.faults) if args.faults else None,
         predictor=predictor,
     )
-    serving = runtime.serve(
-        process,
-        tenants=tenants,
-        slo_s=args.slo * 1e-3,
-        faults=faults,
-        label=f"{args.scheduler}/serve",
-        admission=args.admission,
-        admission_margin=args.admission_margin,
-    )
     # The report itself carries the admission line and the predictor
-    # lifecycle counters now -- in both the text and the JSON forms.
-    print(serving.report)
+    # lifecycle counters -- in both the text and the JSON forms.
+    print(served.report)
     if args.json:
-        from pathlib import Path
-
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(serving.report.as_dict(), indent=2, sort_keys=True)
-        )
-        print(f"wrote {args.json}")
+        _write_json(args.json, served.report.as_dict())
     return 0
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     """Cluster serving run: placement, sharded node sims, merged SLOs."""
-    import json
-
-    from .cluster import ClusterRuntime, ClusterSpec, InterconnectSpec, NodeFault
+    from .cluster import ClusterSpec, InterconnectSpec, NodeFault
     from .faults.plan import FaultPlan
-    from .harness.config import full_system, gnn_system
-    from .serving import PoissonArrivals, Tenant
 
     if args.nodes < 1:
         print("--nodes must be at least 1", file=sys.stderr)
         return 2
-    if args.tenants < 1:
-        print("--tenants must be at least 1", file=sys.stderr)
-        return 2
-    if args.slo <= 0:
-        print("--slo must be positive (milliseconds)", file=sys.stderr)
-        return 2
     if args.shards < 1:
         print("--shards must be at least 1", file=sys.stderr)
         return 2
-    system = gnn_system() if args.system == "gnn" else full_system()
+    try:
+        scenario = Scenario(**_scenario_fields(args))
+        process = scenario.poisson(args.horizon)
+    except ValueError as error:
+        return _bad_value(error)
+    system = scenario.base_system()
     interconnect = InterconnectSpec(contention=args.contention)
     node_names = [f"node-{i}" for i in range(args.nodes)]
     if args.node_spec:
@@ -449,39 +507,13 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    tenant_names = tuple(f"tenant-{i}" for i in range(args.tenants))
-    process = PoissonArrivals(
-        rate=args.rate,
-        horizon=args.horizon,
-        seed=args.seed,
-        tenants=tenant_names,
-    )
-    # Same deliberate weight asymmetry as `serve`.
-    tenants = [
-        Tenant(
-            name,
-            weight=float(len(tenant_names) - i),
-            queue_limit=args.queue_limit,
-        )
-        for i, name in enumerate(tenant_names)
-    ]
-    faults = FaultPlan.load(args.faults) if args.faults else None
-    runtime = ClusterRuntime(
-        spec,
-        scheduler=args.scheduler,
-        placement=args.placement,
-        max_backlog=args.max_backlog,
-    )
-    result = runtime.serve(
+    result = scenario.run(
         process,
-        tenants=tenants,
-        slo_s=args.slo * 1e-3,
-        faults=faults,
+        "cluster",
+        cluster=spec,
+        faults=FaultPlan.load(args.faults) if args.faults else None,
         node_faults=tuple(node_faults),
         shards=args.shards,
-        label=f"{args.scheduler}/cluster",
-        admission=args.admission,
-        admission_margin=args.admission_margin,
     )
     print(result.report)
     stats = result.stats
@@ -505,19 +537,12 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             f"({stats.migration_bytes / 1e6:.1f} MB) off dying nodes"
         )
     if args.json:
-        from pathlib import Path
-
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result.as_dict(), indent=2, sort_keys=True))
-        print(f"wrote {args.json}")
+        _write_json(args.json, result.as_dict())
     return 0
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """Trace-replay horizon run: windows, autoscaling, checkpointing."""
-    import json
-
     from .harness.replay import ReplayConfig, resume_replay, run_replay
 
     if args.halt_after is not None:
@@ -536,22 +561,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
             )
         else:
             config = ReplayConfig(
-                seed=args.seed,
-                rate=args.rate,
+                **_scenario_fields(args),
                 windows=args.windows,
                 window_s=args.window_ms * 1e-3,
-                tenants=args.tenants,
-                slo_s=args.slo * 1e-3,
-                scheduler=args.scheduler,
-                system=args.system,
-                queue_limit=args.queue_limit,
-                max_backlog=args.max_backlog,
-                admission=args.admission,
-                admission_margin=args.admission_margin,
                 autoscale=args.autoscale,
                 max_scale=args.max_scale,
-                nodes=args.nodes,
-                placement=args.placement,
             )
             payload = run_replay(
                 config,
@@ -559,8 +573,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 halt_after=args.halt_after,
             )
     except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+        return _bad_value(error)
     if payload is None:
         print(f"halted after {args.halt_after} window(s); "
               f"checkpoint -> {args.checkpoint}")
@@ -591,12 +604,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         f"peak scale {totals['peak_scale']}"
     )
     if args.json:
-        from pathlib import Path
-
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        print(f"wrote {args.json}")
+        _write_json(args.json, payload)
     return 0
 
 
@@ -623,7 +631,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     run.add_argument(
         "--scheduler",
-        choices=["ljf", "adaptive", "global", "ewt"],
+        choices=list(SCHEDULERS),
         default="adaptive",
         help="scheduler for the --faults demo (default: adaptive)",
     )
@@ -652,7 +660,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     trace.add_argument(
         "--scheduler",
-        choices=["ljf", "adaptive", "global", "ewt"],
+        choices=list(SCHEDULERS),
         default="global",
         help="scheduler to trace (default: global)",
     )
@@ -698,58 +706,8 @@ def main(argv: list[str] | None = None) -> int:
         help="arrival process (default: poisson)",
     )
     serve.add_argument(
-        "--rate", type=float, default=50.0, metavar="JOBS_PER_S",
-        help="aggregate Poisson arrival rate in jobs/second (default: 50)",
-    )
-    serve.add_argument(
-        "--horizon", type=float, default=1.0, metavar="SECONDS",
-        help="arrival-generation horizon; the run then drains (default: 1.0)",
-    )
-    serve.add_argument(
-        "--tenants", type=int, default=3, metavar="N",
-        help="tenant count for poisson arrivals (default: 3); trace "
-        "arrivals name their own tenants",
-    )
-    serve.add_argument(
-        "--slo", type=float, default=10.0, metavar="MS",
-        help="per-tenant sojourn-time SLO in milliseconds (default: 10)",
-    )
-    serve.add_argument(
-        "--seed", type=int, default=0,
-        help="arrival/workload seed; same seed -> byte-identical report",
-    )
-    serve.add_argument(
-        "--scheduler",
-        choices=["ljf", "adaptive", "global", "ewt"],
-        default="adaptive",
-        help="scheduling policy (default: adaptive)",
-    )
-    serve.add_argument(
-        "--system",
-        choices=["full", "gnn"],
-        default="full",
-        help="device set: full Table III or the scaled GNN system "
-        "(default: full)",
-    )
-    serve.add_argument(
-        "--queue-limit", type=int, default=64, metavar="N",
-        help="per-tenant bounded-queue depth; overflow is shed (default: 64)",
-    )
-    serve.add_argument(
-        "--max-backlog", type=int, default=32, metavar="N",
-        help="released-but-undispatched jobs the policy may hold (default: 32)",
-    )
-    serve.add_argument(
         "--trace-file", metavar="PATH", default=None,
         help="JSON arrival trace for --arrivals trace",
-    )
-    serve.add_argument(
-        "--faults", metavar="PLAN", default=None,
-        help="inject a JSON fault plan into the serving run",
-    )
-    serve.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the SLO report as JSON",
     )
     serve.add_argument(
         "--predictor", metavar="WHICH", default="oracle",
@@ -757,27 +715,10 @@ def main(argv: list[str] | None = None) -> int:
         "OnlinePredictor fed by completion actuals, or the path of a "
         "saved predictor artifact from 'predictor train'",
     )
-    serve.add_argument(
-        "--admission",
-        choices=["shed", "predictive"],
-        default="shed",
-        help="arrival-time admission: 'shed' (default) keeps the "
-        "queue-overflow-only baseline; 'predictive' rejects jobs whose "
-        "predicted sojourn would miss the tenant's SLO",
-    )
-    serve.add_argument(
-        "--admission-margin", type=float, default=1.0, metavar="FACTOR",
-        help="admit while predicted sojourn <= SLO x FACTOR; >1 admits "
-        "optimistically, <1 leaves headroom (default: 1.0)",
-    )
     cluster = sub.add_parser(
         "cluster",
         help="cluster serving run: two-level scheduling over N nodes, "
         "per-node sims sharded across processes, merged SLO report",
-    )
-    cluster.add_argument(
-        "--nodes", type=int, default=2, metavar="N",
-        help="homogeneous node count (default: 2)",
     )
     cluster.add_argument(
         "--node-spec", metavar="NAME:SCALE", action="append", default=None,
@@ -794,146 +735,41 @@ def main(argv: list[str] | None = None) -> int:
         "output); 'shared' queues transfers per directed link",
     )
     cluster.add_argument(
-        "--rate", type=float, default=50.0, metavar="JOBS_PER_S",
-        help="aggregate Poisson arrival rate in jobs/second (default: 50)",
-    )
-    cluster.add_argument(
-        "--horizon", type=float, default=1.0, metavar="SECONDS",
-        help="arrival-generation horizon; the run then drains (default: 1.0)",
-    )
-    cluster.add_argument(
-        "--tenants", type=int, default=3, metavar="N",
-        help="tenant count (default: 3)",
-    )
-    cluster.add_argument(
-        "--slo", type=float, default=10.0, metavar="MS",
-        help="per-tenant sojourn-time SLO in milliseconds (default: 10)",
-    )
-    cluster.add_argument(
-        "--seed", type=int, default=0,
-        help="arrival/workload seed; same seed -> byte-identical report",
-    )
-    cluster.add_argument(
-        "--scheduler",
-        choices=["ljf", "adaptive", "global", "ewt"],
-        default="adaptive",
-        help="per-node scheduling policy (default: adaptive)",
-    )
-    cluster.add_argument(
-        "--placement",
-        choices=["least-loaded", "feedback", "hash", "round-robin"],
-        default="least-loaded",
-        help="cluster-level placement policy (default: least-loaded; "
-        "'feedback' biases least-loaded by per-node report feedback "
-        "across replay windows, and equals it on a single run)",
-    )
-    cluster.add_argument(
-        "--system",
-        choices=["full", "gnn"],
-        default="full",
-        help="per-node device set: full Table III or the scaled GNN "
-        "system (default: full)",
-    )
-    cluster.add_argument(
-        "--queue-limit", type=int, default=64, metavar="N",
-        help="per-tenant bounded-queue depth per node (default: 64)",
-    )
-    cluster.add_argument(
-        "--max-backlog", type=int, default=32, metavar="N",
-        help="released-but-undispatched jobs each node's policy may "
-        "hold (default: 32)",
-    )
-    cluster.add_argument(
         "--shards", type=int, default=1, metavar="N",
         help="worker processes for the node simulations (capped at the "
         "node count; output is byte-identical either way; default: 1)",
-    )
-    cluster.add_argument(
-        "--faults", metavar="PLAN", default=None,
-        help="inject a JSON device-fault plan into every node",
     )
     cluster.add_argument(
         "--fail-node", metavar="NODE:SECONDS", action="append", default=None,
         help="lose a whole node at a point in time (repeatable), "
         "e.g. --fail-node node-1:0.5",
     )
-    cluster.add_argument(
-        "--admission",
-        choices=["shed", "predictive"],
-        default="shed",
-        help="per-node arrival-time admission: 'shed' (default) or "
-        "'predictive' (each node gates on its own predicted sojourn)",
-    )
-    cluster.add_argument(
-        "--admission-margin", type=float, default=1.0, metavar="FACTOR",
-        help="admit while predicted sojourn <= SLO x FACTOR (default: 1.0)",
-    )
-    cluster.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the merged cluster report as JSON",
-    )
+    _add_scenario_flags(serve, Scenario(), skip=("nodes", "placement"))
+    _add_scenario_flags(cluster, Scenario(nodes=2))
+    for command in (serve, cluster):
+        command.add_argument(
+            "--horizon", type=float, default=1.0, metavar="SECONDS",
+            help="arrival-generation horizon; the run then drains "
+            "(default: 1.0)",
+        )
+        command.add_argument(
+            "--faults", metavar="PLAN", default=None,
+            help="inject a JSON device-fault plan into every node",
+        )
     replay = sub.add_parser(
         "replay",
         help="trace-replay horizon benchmark: windows of seeded "
         "arrivals, between-window autoscaling, exact checkpoint/resume",
     )
     replay.add_argument(
-        "--windows", type=int, default=6, metavar="N",
-        help="replay windows to simulate (default: 6)",
+        "--windows", type=int, default=HORIZON_CONFIG.windows, metavar="N",
+        help="replay windows to simulate (default: %(default)s)",
     )
     replay.add_argument(
-        "--window-ms", type=float, default=2.0, metavar="MS",
+        "--window-ms", type=float, default=HORIZON_CONFIG.window_s * 1e3,
+        metavar="MS",
         help="arrival horizon of each window in milliseconds; every "
-        "window drains to completion (default: 2.0)",
-    )
-    replay.add_argument(
-        "--rate", type=float, default=2e6, metavar="JOBS_PER_S",
-        help="aggregate Poisson arrival rate (default: 2e6 -- "
-        "overloads the scale-1 gnn pool)",
-    )
-    replay.add_argument(
-        "--tenants", type=int, default=3, metavar="N",
-        help="tenant count (default: 3)",
-    )
-    replay.add_argument(
-        "--slo", type=float, default=0.1, metavar="MS",
-        help="per-tenant sojourn SLO in milliseconds (default: 0.1)",
-    )
-    replay.add_argument(
-        "--seed", type=int, default=20,
-        help="base seed; window w replays with a seed derived from "
-        "(seed, w), so any window is reproducible in isolation",
-    )
-    replay.add_argument(
-        "--scheduler",
-        choices=["ljf", "adaptive", "global", "ewt"],
-        default="adaptive",
-        help="per-window scheduling policy (default: adaptive)",
-    )
-    replay.add_argument(
-        "--system",
-        choices=["full", "gnn"],
-        default="gnn",
-        help="scale-1 device set (default: gnn)",
-    )
-    replay.add_argument(
-        "--queue-limit", type=int, default=32, metavar="N",
-        help="per-tenant bounded-queue depth (default: 32)",
-    )
-    replay.add_argument(
-        "--max-backlog", type=int, default=16, metavar="N",
-        help="released-but-undispatched jobs the policy may hold "
-        "(default: 16)",
-    )
-    replay.add_argument(
-        "--admission",
-        choices=["shed", "predictive"],
-        default="shed",
-        help="arrival-time admission for every window (default: shed)",
-    )
-    replay.add_argument(
-        "--admission-margin", type=float, default=1.0, metavar="FACTOR",
-        help="admit while predicted sojourn <= SLO x FACTOR (default: 1.0)",
+        "window drains to completion (default: %(default)s)",
     )
     replay.add_argument(
         "--autoscale", action="store_true",
@@ -941,22 +777,10 @@ def main(argv: list[str] | None = None) -> int:
         "window's utilisation / queue-depth / shed signals",
     )
     replay.add_argument(
-        "--max-scale", type=int, default=4, metavar="N",
+        "--max-scale", type=int, default=HORIZON_CONFIG.max_scale,
+        metavar="N",
         help="autoscaler ceiling as a multiple of the base pool "
-        "(default: 4)",
-    )
-    replay.add_argument(
-        "--nodes", type=int, default=0, metavar="N",
-        help="replay over an N-node cluster instead of one node; the "
-        "autoscaled system is stamped onto every node (default: 0)",
-    )
-    replay.add_argument(
-        "--placement",
-        choices=["least-loaded", "feedback", "hash", "round-robin"],
-        default="least-loaded",
-        help="cluster placement for --nodes > 0 (default: least-loaded; "
-        "'feedback' learns per-node weights across windows and rides "
-        "the checkpoint)",
+        "(default: %(default)s)",
     )
     replay.add_argument(
         "--checkpoint", metavar="PATH", default=None,
@@ -972,10 +796,12 @@ def main(argv: list[str] | None = None) -> int:
         help="continue from a checkpoint file (ignores the trace "
         "flags; the checkpoint carries the full config)",
     )
-    replay.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the replay payload as JSON",
-    )
+    _add_scenario_flags(replay, HORIZON_CONFIG)
+    for command in (serve, cluster, replay):
+        command.add_argument(
+            "--json", metavar="PATH", default=None,
+            help="write the report as JSON",
+        )
     predictor = sub.add_parser(
         "predictor",
         help="train, evaluate, or export a reusable MLP predictor "

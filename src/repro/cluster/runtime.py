@@ -50,7 +50,7 @@ import heapq
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from ..core.runtime import _SCHEDULERS
+from ..core.runtime import make_scheduler
 from ..faults.plan import FaultPlan
 from ..obs.export import result_payload
 from ..serving.arrivals import ArrivalProcess, TimelineArrivals
@@ -232,11 +232,7 @@ class ClusterRuntime:
     max_backlog: int = 32
 
     def __post_init__(self) -> None:
-        if self.scheduler not in _SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"choose from {sorted(_SCHEDULERS)}"
-            )
+        make_scheduler(self.scheduler)  # fail fast on an unknown name
         if (
             isinstance(self.placement, str)
             and self.placement not in PLACEMENTS

@@ -34,14 +34,32 @@ from .scheduler import (
     oracle_makespan,
 )
 
-__all__ = ["MLIMPRuntime"]
+__all__ = ["MLIMPRuntime", "SCHEDULERS", "make_scheduler"]
 
-_SCHEDULERS = {
+#: Scheduler registry: the one list of names every runtime and CLI
+#: ``--scheduler`` flag accepts.
+SCHEDULERS: dict[str, type[Scheduler]] = {
     "ljf": LJFScheduler,
     "adaptive": AdaptiveScheduler,
     "global": GlobalScheduler,
     "ewt": EWTScheduler,
 }
+
+
+def make_scheduler(
+    scheduler: str | Scheduler,
+    predictor: PerformancePredictor | None = None,
+) -> Scheduler:
+    """A registered scheduler fed by ``predictor`` (oracle by default);
+    a ready-made :class:`Scheduler` is returned as-is."""
+    if isinstance(scheduler, Scheduler):
+        return scheduler
+    if scheduler not in SCHEDULERS:
+        raise ValueError(
+            f"unknown scheduler {scheduler!r}; "
+            f"choose from {sorted(SCHEDULERS)} or pass a Scheduler"
+        )
+    return SCHEDULERS[scheduler](predictor or OraclePredictor())
 
 
 @dataclass
@@ -56,11 +74,7 @@ class MLIMPRuntime:
     _history: list[DispatchResult] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.scheduler, str) and self.scheduler not in _SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"choose from {sorted(_SCHEDULERS)} or pass a Scheduler"
-            )
+        make_scheduler(self.scheduler)  # fail fast on an unknown name
 
     # ------------------------------------------------------------------
     def submit(self, job: Job) -> None:
@@ -80,12 +94,6 @@ class MLIMPRuntime:
         """Results of every completed :meth:`run`."""
         return list(self._history)
 
-    def _make_scheduler(self) -> Scheduler:
-        if isinstance(self.scheduler, Scheduler):
-            return self.scheduler
-        predictor = self.predictor or OraclePredictor()
-        return _SCHEDULERS[self.scheduler](predictor)
-
     # ------------------------------------------------------------------
     def plan_preview(self) -> dict[str, tuple[str, int]]:
         """Dry-run the scheduler: job id -> (memory, arrays).
@@ -100,7 +108,7 @@ class MLIMPRuntime:
         :class:`~repro.core.dispatcher.DispatchError` -- a partial
         preview is never silently returned.
         """
-        scheduler = self._make_scheduler()
+        scheduler = make_scheduler(self.scheduler, self.predictor)
         policy = scheduler.plan(list(self._queue), self.system)
         from .scheduler.base import ResourceView
 
@@ -164,7 +172,7 @@ class MLIMPRuntime:
         ``result.fault_free_makespan`` so the report can quantify the
         degradation.
         """
-        scheduler = self._make_scheduler()
+        scheduler = make_scheduler(self.scheduler, self.predictor)
         jobs, self._queue = self._queue, []
         fault_free_makespan = None
         if fault_baseline and faults is not None and len(faults) > 0:

@@ -33,8 +33,7 @@ import random
 
 from ..core.dispatcher import Dispatcher
 from ..core.job import Job, JobPerfProfile
-from ..core.predictor import OraclePredictor
-from ..core.runtime import _SCHEDULERS
+from ..core.runtime import SCHEDULERS, make_scheduler
 from ..core.scheduler.base import MLIMPSystem
 from ..core.scheduler.exact import ExactSolution, solve_exact
 from ..memories.base import ArrayGeometry, MemoryKind, MemorySpec
@@ -50,7 +49,7 @@ __all__ = [
 ]
 
 #: Every registered heuristic scheduler, swept in this order.
-HEURISTICS = ("ljf", "adaptive", "global", "ewt")
+HEURISTICS = tuple(SCHEDULERS)
 
 #: Default sweep size -- large enough for a meaningful distribution,
 #: small enough that `repro run optgap` stays interactive.
@@ -122,7 +121,7 @@ def generate_instance(seed: int) -> tuple[list[Job], MLIMPSystem]:
 
 
 def _simulate(name: str, jobs: list[Job], system: MLIMPSystem, seed: int) -> float:
-    scheduler = _SCHEDULERS[name](OraclePredictor())
+    scheduler = make_scheduler(name)
     policy = scheduler.plan(list(jobs), system)
     result = Dispatcher(system).run(policy, label=f"optgap-{name}-{seed}")
     return result.makespan

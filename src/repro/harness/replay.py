@@ -44,20 +44,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..cluster.placement import FeedbackPlacement, PlacementPolicy
-from ..cluster.runtime import ClusterRuntime
-from ..cluster.spec import ClusterSpec
-from ..serving import (
-    AutoscalePolicy,
-    Autoscaler,
-    PoissonArrivals,
-    ServingRuntime,
-    Tenant,
-    scale_system,
-)
-from .config import full_system, gnn_system
+from ..serving import AutoscalePolicy, Autoscaler, scale_system
 from .reporting import Report
+from .scenario import Scenario
 
 __all__ = [
+    "HORIZON_CONFIG",
     "ReplayConfig",
     "run_replay",
     "resume_replay",
@@ -76,41 +68,30 @@ _SEED_STRIDE = 7919
 
 
 @dataclass(frozen=True)
-class ReplayConfig:
-    """One replay's complete, JSON-round-trippable description."""
+class ReplayConfig(Scenario):
+    """A :class:`Scenario` replayed as windows, with its autoscaler.
 
-    seed: int = 0
+    The scenario fields keep the replay's own defaults (an overloaded
+    scale-1 gnn pool, 100 us SLO); ``nodes > 0`` stamps the autoscaled
+    system onto every node of a cluster replay.
+    """
+
     rate: float = 2e6
-    windows: int = 6
-    window_s: float = 0.002
-    tenants: int = 3
     slo_s: float = 100e-6
-    scheduler: str = "adaptive"
     system: str = "gnn"
     queue_limit: int = 32
     max_backlog: int = 16
-    admission: str = "shed"
-    admission_margin: float = 1.0
+    windows: int = 6
+    window_s: float = 0.002
     autoscale: bool = False
     max_scale: int = 4
-    #: 0 = single-node serving; N > 0 = an N-node cluster replay (the
-    #: autoscaled system is stamped onto every node).
-    nodes: int = 0
-    placement: str = "least-loaded"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.windows < 1:
             raise ValueError("windows must be >= 1")
         if self.window_s <= 0:
             raise ValueError("window_s must be positive")
-        if self.tenants < 1:
-            raise ValueError("tenants must be >= 1")
-        if self.slo_s <= 0:
-            raise ValueError("slo_s must be positive")
-        if self.nodes < 0:
-            raise ValueError("nodes must be >= 0 (0 = single node)")
-        if self.system not in ("gnn", "full"):
-            raise ValueError(f"unknown system {self.system!r}")
 
     @property
     def horizon_s(self) -> float:
@@ -131,17 +112,6 @@ class ReplayConfig:
 def _window_seed(config: ReplayConfig, window: int) -> int:
     return config.seed + _SEED_STRIDE * window
 
-def _tenants(config: ReplayConfig) -> list[Tenant]:
-    """The serve CLI's deliberate weight asymmetry, replay-wide."""
-    return [
-        Tenant(
-            f"tenant-{i}",
-            weight=float(config.tenants - i),
-            queue_limit=config.queue_limit,
-        )
-        for i in range(config.tenants)
-    ]
-
 
 def _run_window(
     config: ReplayConfig,
@@ -157,58 +127,25 @@ def _run_window(
     windows, and this function feeds it the finished window's
     per-node report sections).
     """
-    base = gnn_system() if config.system == "gnn" else full_system()
-    system = scale_system(base, scale)
-    tenants = _tenants(config)
-    arrivals = PoissonArrivals(
-        rate=config.rate,
-        horizon=config.window_s,
-        seed=_window_seed(config, window),
-        tenants=tuple(t.name for t in tenants),
+    served = config.run(
+        config.poisson(config.window_s, _window_seed(config, window)),
+        f"replay-w{window}",
+        system=scale_system(config.base_system(), scale),
+        placement=placement,
     )
-    label = f"{config.scheduler}/replay-w{window}"
+    report = served.report
     if config.nodes > 0:
-        cluster = ClusterSpec.homogeneous(config.nodes, system=system)
-        runtime = ClusterRuntime(
-            cluster,
-            scheduler=config.scheduler,
-            placement=placement if placement is not None else config.placement,
-            max_backlog=config.max_backlog,
-        )
-        result = runtime.serve(
-            arrivals,
-            tenants=tenants,
-            slo_s=config.slo_s,
-            label=label,
-            admission=config.admission,
-            admission_margin=config.admission_margin,
-        )
-        report = result.report
         if isinstance(placement, FeedbackPlacement):
             placement.observe_reports(
-                [report.nodes.get(name, {}) for name in cluster.names]
+                [report.nodes.get(name, {}) for name in served.spec.names]
             )
         # Per-node metrics stay inside the shards; the cluster signal
         # set is utilisation + shed rate (queue depth reads 0).
         queue_depth = 0.0
     else:
-        runtime = ServingRuntime(
-            system,
-            scheduler=config.scheduler,
-            max_backlog=config.max_backlog,
-        )
-        serving = runtime.serve(
-            arrivals,
-            tenants=tenants,
-            slo_s=config.slo_s,
-            label=label,
-            admission=config.admission,
-            admission_margin=config.admission_margin,
-        )
-        report = serving.report
-        makespan = serving.result.makespan
+        makespan = served.result.makespan
         queue_depth = (
-            serving.result.metrics.gauge("jobs.pending").time_weighted_mean(
+            served.result.metrics.gauge("jobs.pending").time_weighted_mean(
                 makespan
             )
             if makespan > 0
@@ -376,34 +313,24 @@ def resume_replay(
 
 
 # ----------------------------------------------------------------------
-#: The overloaded seeded trace both experiment arms replay: ~2x the
-#: drain rate of the scale-1 gnn pool, judged against a 100 us SLO.
-_HORIZON_CONFIG = ReplayConfig(
-    seed=20,
-    rate=2e6,
-    windows=6,
-    window_s=0.002,
-    tenants=3,
-    slo_s=100e-6,
-    scheduler="adaptive",
-    system="gnn",
-    queue_limit=32,
-    max_backlog=16,
-)
+#: The overloaded seeded trace both experiment arms replay, and the
+#: ``replay`` command's defaults: ~2x the drain rate of the scale-1
+#: gnn pool, judged against a 100 us SLO.
+HORIZON_CONFIG = ReplayConfig(seed=20)
 
 
 def replay_horizon() -> Report:
     """Trace replay: predictive admission + autoscale vs shed-only."""
     arms = [
-        ("shed-only", _HORIZON_CONFIG),
+        ("shed-only", HORIZON_CONFIG),
         (
             "predictive",
-            dataclasses.replace(_HORIZON_CONFIG, admission="predictive"),
+            dataclasses.replace(HORIZON_CONFIG, admission="predictive"),
         ),
         (
             "predictive+autoscale",
             dataclasses.replace(
-                _HORIZON_CONFIG, admission="predictive", autoscale=True
+                HORIZON_CONFIG, admission="predictive", autoscale=True
             ),
         ),
     ]
@@ -435,7 +362,7 @@ def replay_horizon() -> Report:
             totals["peak_scale"],
             len(payload["autoscale_events"]),
         )
-    cfg = _HORIZON_CONFIG
+    cfg = HORIZON_CONFIG
     report.note(
         f"{cfg.windows} windows x {cfg.window_s * 1e3:g} ms at "
         f"{cfg.rate:g} jobs/s (seed {cfg.seed}), slo {cfg.slo_s * 1e6:g} us, "

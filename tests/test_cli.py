@@ -200,6 +200,25 @@ class TestServeCommand:
         assert "attainment" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--rate", "-1"],
+            ["serve", "--horizon", "-1"],
+            ["serve", "--queue-limit", "0"],
+            ["serve", "--max-backlog", "0"],
+            ["serve", "--admission", "predictive", "--admission-margin", "0"],
+            ["cluster", "--nodes", "2", "--max-backlog", "0"],
+        ],
+    )
+    def test_out_of_range_values_exit_2_with_one_line(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        flag = argv[-2]
+        assert flag.lstrip("-").split("-")[0] in err
+
+
 class TestClusterCommand:
     ARGS = [
         "cluster", "--nodes", "2", "--rate", "2000", "--horizon", "0.01",

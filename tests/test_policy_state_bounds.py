@@ -8,7 +8,7 @@ checks count entries on seeded overloaded serves; they read no clock.
 import pytest
 
 from repro.core import OraclePredictor
-from repro.core.runtime import _SCHEDULERS
+from repro.core.runtime import SCHEDULERS
 from repro.core.scheduler import adaptive
 from tests.prophelpers import (
     PLAN_TABLE_SCHEDULERS,
@@ -40,7 +40,7 @@ def _watched(name: str, policies: list, violations: list):
     completion, that the plan table holds exactly the queued and
     in-flight jobs."""
 
-    class Watched(_SCHEDULERS[name]):
+    class Watched(SCHEDULERS[name]):
         def plan(self, jobs, system):
             policy = super().plan(jobs, system)
             in_flight: set[str] = set()

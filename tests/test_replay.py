@@ -108,6 +108,14 @@ def test_config_validation_and_roundtrip():
             dataclasses.replace(SMALL, **bad)
 
 
+def test_config_rejects_unknown_names():
+    """Names are checked when the config is built, not when window 0
+    runs, so a bogus name never reaches a payload's ``config``."""
+    for field in ("scheduler", "placement", "admission", "system"):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(SMALL, **{field: "bogus"})
+
+
 # ======================================================================
 # Autoscaler behaviour
 # ======================================================================
