@@ -134,16 +134,19 @@ class _Device:
 
 @dataclass
 class _Flight:
-    """Fault-mode bookkeeping for one job's current launch attempt.
+    """Bookkeeping for one unfinished job's current launch attempt.
 
-    Phase events scheduled for an attempt capture ``attempt`` and only
-    act while the flight is still ``active`` on that attempt number --
-    aborting a job is a pure state flip, no event cancellation, so a
-    run with an **empty** fault plan schedules exactly the events a
-    fault-free run does.
+    Every launch runs in a flight; a run without faults is the empty
+    plan, whose flights never abort.  Phase events carry ``(flight,
+    attempt)`` and only act while the flight is still ``active`` on
+    that attempt number -- aborting a job is a pure state flip, no
+    event cancellation.  The flight leaves the dispatcher's table when
+    its job completes or fails.
     """
 
     dispatch: Dispatch
+    #: The job's lifecycle record, from its first launch on.
+    record: JobRecord | None = None
     attempt: int = 0
     active: bool = False
     parked: bool = False
@@ -154,6 +157,10 @@ class _Flight:
     #: the policy re-emits it through ``next_dispatches``.
     with_policy: bool = False
     allocation: Allocation | None = None
+
+    def live(self, attempt: int) -> bool:
+        """Stale events of aborted attempts must no-op."""
+        return self.active and self.attempt == attempt
 
 
 #: Runtime cost of launching one in-memory job (scheduler decision +
@@ -204,8 +211,8 @@ class Dispatcher:
         work to the policy's ``device_lost`` hook (falling back to a
         profile-driven re-queue, then to ``failed_jobs``).  Energy
         charged to aborted attempts stays charged -- wasted work is
-        real work.  With ``faults`` None or empty, the run takes
-        exactly the fault-free code path (byte-identical traces).
+        real work.  With ``faults`` None or empty, the run runs the
+        empty plan: every device stays healthy at derate 1.0.
 
         ``open_loop`` (see :class:`repro.serving.tenants.OpenLoop`)
         turns the closed batch into an open system: its timed arrivals
@@ -236,11 +243,10 @@ class Dispatcher:
             for kind, spec in self.system.specs.items()
         }
 
-        # Fault state: only materialised for a non-empty plan, so the
-        # common path stays untouched.
-        injector: FaultInjector | None = None
-        if faults is not None and len(faults) > 0:
-            injector = FaultInjector(faults, list(devices))
+        # Fault state: a run without faults is the empty plan.  The
+        # flight table holds unfinished jobs only.
+        faults = faults or FaultPlan.empty()
+        injector = FaultInjector(faults, list(devices))
         flights: dict[str, _Flight] = {}
         parked: dict[MemoryKind, list[_Flight]] = {kind: [] for kind in devices}
         failed_jobs: dict[str, str] = {}
@@ -284,14 +290,13 @@ class Dispatcher:
                 kind: dev.allocator.largest_free_run
                 for kind, dev in devices.items()
             }
-            if injector is not None:
-                # Dead and stalled devices accept no launches: hide
-                # their capacity so policies route around them.
-                for kind, health in injector.health.items():
-                    if not health.usable(sim.now):
-                        free_slots[kind] = 0
-                        free_arrays[kind] = 0
-                        largest_free_run[kind] = 0
+            # Dead and stalled devices accept no launches: hide their
+            # capacity so policies route around them.
+            for kind, health in injector.health.items():
+                if not health.usable(sim.now):
+                    free_slots[kind] = 0
+                    free_arrays[kind] = 0
+                    largest_free_run[kind] = 0
             return ResourceView(
                 now=sim.now,
                 free_slots=free_slots,
@@ -299,7 +304,7 @@ class Dispatcher:
                 largest_free_run=largest_free_run,
             )
 
-        # -- fault machinery (no-ops without an injector) ---------------
+        # -- fault machinery (no-ops under the empty plan) ---------------
         def park(flight: _Flight) -> None:
             flight.parked = True
             parked[flight.dispatch.kind].append(flight)
@@ -339,10 +344,12 @@ class Dispatcher:
             flight.done = True
             flight.pending_retry = False
             job_id = flight.dispatch.job.job_id
+            del flights[job_id]
             records.pop(job_id, None)
             failed_jobs[job_id] = reason
             metrics.counter("jobs.failed").inc()
             runtime_counter_inc("jobs.failed")
+            policy.job_failed(flight.dispatch.job, sim.now)
             if open_loop is not None:
                 # A failed job leaves the system too: return its
                 # predicted-work reservation to the admission ledger.
@@ -454,8 +461,7 @@ class Dispatcher:
             victims = [
                 f
                 for f in flights.values()
-                if not f.done
-                and f.dispatch.kind is kind
+                if f.dispatch.kind is kind
                 and (f.active or f.parked or f.pending_retry)
             ]
             for flight in victims:
@@ -516,33 +522,33 @@ class Dispatcher:
                     f"{job.job_id}: requested {dispatch.arrays} arrays on "
                     f"{kind} (device has {spec.num_arrays})"
                 )
-            flight: _Flight | None = None
-            if injector is not None:
-                flight = flights.get(job.job_id)
-                if flight is None:
-                    flight = _Flight(dispatch=dispatch)
-                    flights[job.job_id] = flight
-                if flight.active or flight.done:
+            flight = flights.get(job.job_id)
+            if flight is None:
+                # Finished jobs have left the table but not the run.
+                if job.job_id in records or job.job_id in failed_jobs:
                     raise DispatchError(f"job {job.job_id} dispatched twice")
-                flight.with_policy = False
-                flight.dispatch = dispatch
-                health = injector.health[kind]
-                if not health.alive:
-                    # The policy raced a failure it has not absorbed:
-                    # migrate the job instead of crashing the batch.
-                    requeue_elsewhere(flight, f"{kind.value} is failed")
-                    return
-                if health.stalled(sim.now):
-                    park(flight)
-                    return
-                if requeued and (
-                    device.running >= self.system.slots(kind)
-                    or device.allocator.largest_free_run < dispatch.arrays
-                ):
-                    # A re-queued job must not crash the run on a full
-                    # device -- it waits for room instead.
-                    park(flight)
-                    return
+                flight = flights[job.job_id] = _Flight(dispatch=dispatch)
+            elif flight.active:
+                raise DispatchError(f"job {job.job_id} dispatched twice")
+            flight.with_policy = False
+            flight.dispatch = dispatch
+            health = injector.health[kind]
+            if not health.alive:
+                # The policy raced a failure it has not absorbed:
+                # migrate the job instead of crashing the batch.
+                requeue_elsewhere(flight, f"{kind.value} is failed")
+                return
+            if health.stalled(sim.now):
+                park(flight)
+                return
+            if requeued and (
+                device.running >= self.system.slots(kind)
+                or device.allocator.largest_free_run < dispatch.arrays
+            ):
+                # A re-queued job must not crash the run on a full
+                # device -- it waits for room instead.
+                park(flight)
+                return
             slots = self.system.slots(kind)
             if device.running >= slots:
                 raise DispatchError(
@@ -552,10 +558,8 @@ class Dispatcher:
                 )
             allocation = device.allocator.allocate(dispatch.arrays)
             device.running += 1
-            record = records.get(job.job_id)
+            record = flight.record
             relaunch = record is not None
-            if relaunch and flight is None:
-                raise DispatchError(f"job {job.job_id} dispatched twice")
             if relaunch:
                 record.kind = kind
                 record.arrays = dispatch.arrays
@@ -564,7 +568,7 @@ class Dispatcher:
                 record.replicate_done_at = 0.0
                 record.attempts += 1
             else:
-                record = JobRecord(
+                record = flight.record = JobRecord(
                     job_id=job.job_id,
                     kind=kind,
                     arrays=dispatch.arrays,
@@ -584,132 +588,131 @@ class Dispatcher:
                     predicted_time=dispatch.predicted_time,
                     queue_depth=policy.pending(),
                 )
-            if flight is not None:
-                if flight.pending_retry:
-                    flight.pending_retry = False
-                    metrics.counter("jobs.retried").inc()
-                    runtime_counter_inc("jobs.retried")
-                flight.attempt += 1
-                flight.active = True
-                flight.allocation = allocation
-            attempt = flight.attempt if flight is not None else 0
-
-            def live() -> bool:
-                """Stale events of aborted attempts must no-op."""
-                return flight is None or (
-                    flight.active and flight.attempt == attempt
-                )
-
+            if flight.pending_retry:
+                flight.pending_retry = False
+                metrics.counter("jobs.retried").inc()
+                runtime_counter_inc("jobs.retried")
+            flight.attempt += 1
+            flight.active = True
+            flight.allocation = allocation
             bytes_total = profile.fill_bytes * profile.n_iter
             ledger.add(
                 EnergyCategory.FILL,
                 kind.value,
                 bytes_total * spec.fill_energy_pj_per_byte * 1e-12,
             )
-            if injector is not None:
-                wear = injector.record_fill(kind, bytes_total)
+            wear = injector.record_fill(kind, bytes_total)
+            if wear is not None:
+                sim.after(0.0, fire_fault, wear)
+            sim.after(self.dispatch_overhead_s, begin_fill, flight, flight.attempt)
+
+        # -- one launch's phases, shared by every job --------------------
+        def begin_fill(flight: _Flight, attempt: int) -> None:
+            if not flight.live(attempt):
+                return
+            kind = flight.dispatch.kind
+            spec = self.system.specs[kind]
+            profile = flight.dispatch.job.profile(kind)
+            bytes_total = profile.fill_bytes * profile.n_iter
+            if kind is MemoryKind.DRAM:
+                # In-situ: data is already in main memory; the fill is
+                # an internal row-move, off the shared pipe.
+                fill_time = spec.fill_seconds(bytes_total) * injector.time_scale(kind)
+                sim.after(fill_time, after_fill, flight, attempt)
+            else:
+                # Off-chip stream through the shared DDR4 pipe, plus
+                # device-side write overhead beyond pipe bandwidth.  (An
+                # aborted job's in-flight transfer still drains the
+                # pipe -- the DMA stream is already committed -- but its
+                # completion callback no-ops.)
+                extra = max(
+                    0.0,
+                    spec.fill_seconds(bytes_total)
+                    - bytes_total / self.ddr4.total_bandwidth_bps,
+                ) * injector.time_scale(kind)
+                pipe.submit(
+                    bytes_total,
+                    lambda: sim.after(extra, after_fill, flight, attempt)
+                    if flight.live(attempt)
+                    else None,
+                )
+
+        def after_fill(flight: _Flight, attempt: int) -> None:
+            if not flight.live(attempt):
+                return
+            dispatch, record = flight.dispatch, flight.record
+            kind = dispatch.kind
+            spec = self.system.specs[kind]
+            profile = dispatch.job.profile(kind)
+            record.fill_done_at = sim.now
+            trace.record(
+                dispatch.job.job_id, kind.value, Phase.FILL,
+                record.dispatched_at, sim.now, dispatch.arrays,
+            )
+            replicas = profile.replicas(dispatch.arrays)
+            rep_time = profile.n_iter * profile.t_replica_unit * (replicas - 1)
+            rep_bytes = profile.fill_bytes * (replicas - 1)
+            if rep_bytes > 0:
+                ledger.add(
+                    EnergyCategory.REPLICATION,
+                    kind.value,
+                    rep_bytes * spec.fill_energy_pj_per_byte * 1e-12,
+                )
+                wear = injector.record_fill(kind, rep_bytes)
                 if wear is not None:
                     sim.after(0.0, fire_fault, wear)
+            rep_time *= injector.time_scale(kind)
+            sim.after(rep_time, after_replicate, flight, attempt)
 
-            def after_fill() -> None:
-                if not live():
-                    return
-                record.fill_done_at = sim.now
+        def after_replicate(flight: _Flight, attempt: int) -> None:
+            if not flight.live(attempt):
+                return
+            dispatch, record = flight.dispatch, flight.record
+            kind = dispatch.kind
+            profile = dispatch.job.profile(kind)
+            record.replicate_done_at = sim.now
+            if sim.now > record.fill_done_at:
                 trace.record(
-                    job.job_id, kind.value, Phase.FILL,
-                    record.dispatched_at, sim.now, dispatch.arrays,
+                    dispatch.job.job_id, kind.value, Phase.REPLICATE,
+                    record.fill_done_at, sim.now, dispatch.arrays,
                 )
-                replicas = profile.replicas(dispatch.arrays)
-                rep_time = profile.n_iter * profile.t_replica_unit * (replicas - 1)
-                rep_bytes = profile.fill_bytes * (replicas - 1)
-                if rep_bytes > 0:
-                    ledger.add(
-                        EnergyCategory.REPLICATION,
-                        kind.value,
-                        rep_bytes * spec.fill_energy_pj_per_byte * 1e-12,
-                    )
-                if injector is not None:
-                    rep_time *= injector.time_scale(kind)
-                    if rep_bytes > 0:
-                        wear = injector.record_fill(kind, rep_bytes)
-                        if wear is not None:
-                            sim.after(0.0, fire_fault, wear)
-                sim.after(rep_time, after_replicate)
+            compute = profile.n_iter * profile.compute_time(dispatch.arrays)
+            sim.after(compute * injector.time_scale(kind), finish, flight, attempt)
 
-            def after_replicate() -> None:
-                if not live():
-                    return
-                record.replicate_done_at = sim.now
-                if sim.now > record.fill_done_at:
-                    trace.record(
-                        job.job_id, kind.value, Phase.REPLICATE,
-                        record.fill_done_at, sim.now, dispatch.arrays,
-                    )
-                compute = profile.n_iter * profile.compute_time(dispatch.arrays)
-                if injector is not None:
-                    compute *= injector.time_scale(kind)
-                sim.after(compute, finish, sim.now)
-
-            def finish(compute_start: float) -> None:
-                if not live():
-                    return
-                record.finished_at = sim.now
-                trace.record(
-                    job.job_id, kind.value, Phase.COMPUTE,
-                    compute_start, sim.now, dispatch.arrays,
-                )
-                ledger.add(
-                    EnergyCategory.COMPUTE, kind.value, profile.compute_energy_j
-                )
-                if flight is not None:
-                    flight.active = False
-                    flight.done = True
-                    flight.allocation = None
-                device.allocator.free(allocation)
-                device.running -= 1
-                metrics.counter("jobs.completed").inc()
-                slot_gauges[kind].set(sim.now, device.running)
-                array_gauges[kind].set(sim.now, device.allocator.used_arrays)
-                decisions.complete(job.job_id, record.latency)
-                policy.notify_completion(job, kind, sim.now)
-                if predictor_hook is not None:
-                    predictor_hook(job, kind, sim.now, metrics)
-                if open_loop is not None:
-                    open_loop.on_finished(job.job_id)
-                if injector is not None:
-                    # Freed capacity goes to migrated/retried jobs first.
-                    drain_parked(kind)
-                pump()
-
-            def begin_fill() -> None:
-                if not live():
-                    return
-                if kind is MemoryKind.DRAM:
-                    # In-situ: data is already in main memory; the fill
-                    # is an internal row-move, off the shared pipe.
-                    fill_time = spec.fill_seconds(bytes_total)
-                    if injector is not None:
-                        fill_time *= injector.time_scale(kind)
-                    sim.after(fill_time, after_fill)
-                else:
-                    # Off-chip stream through the shared DDR4 pipe, plus
-                    # device-side write overhead beyond pipe bandwidth.
-                    # (An aborted job's in-flight transfer still drains
-                    # the pipe -- the DMA stream is already committed --
-                    # but its completion callback no-ops.)
-                    extra = max(
-                        0.0,
-                        spec.fill_seconds(bytes_total)
-                        - bytes_total / self.ddr4.total_bandwidth_bps,
-                    )
-                    if injector is not None:
-                        extra *= injector.time_scale(kind)
-                    pipe.submit(
-                        bytes_total,
-                        lambda: sim.after(extra, after_fill) if live() else None,
-                    )
-
-            sim.after(self.dispatch_overhead_s, begin_fill)
+        def finish(flight: _Flight, attempt: int) -> None:
+            if not flight.live(attempt):
+                return
+            dispatch, record = flight.dispatch, flight.record
+            job, kind = dispatch.job, dispatch.kind
+            device = devices[kind]
+            record.finished_at = sim.now
+            trace.record(
+                job.job_id, kind.value, Phase.COMPUTE,
+                record.replicate_done_at, sim.now, dispatch.arrays,
+            )
+            ledger.add(
+                EnergyCategory.COMPUTE,
+                kind.value,
+                job.profile(kind).compute_energy_j,
+            )
+            flight.active = False
+            flight.done = True
+            device.allocator.free(flight.allocation)
+            flight.allocation = None
+            del flights[job.job_id]
+            device.running -= 1
+            metrics.counter("jobs.completed").inc()
+            slot_gauges[kind].set(sim.now, device.running)
+            array_gauges[kind].set(sim.now, device.allocator.used_arrays)
+            decisions.complete(job.job_id, record.latency)
+            policy.notify_completion(job, kind, sim.now)
+            if predictor_hook is not None:
+                predictor_hook(job, kind, sim.now, metrics)
+            if open_loop is not None:
+                open_loop.on_finished(job.job_id)
+            # Freed capacity goes to migrated/retried jobs first.
+            drain_parked(kind)
+            pump()
 
         def pump() -> None:
             if open_loop is not None:
@@ -739,17 +742,9 @@ class Dispatcher:
                 and policy.pending() > 0
                 and all(dev.running == 0 for dev in devices.values())
                 and pipe.active_transfers == 0
-                and (
-                    injector is None
-                    or (
-                        backoffs_pending == 0
-                        and not any(parked.values())
-                        and not any(
-                            h.stalled(sim.now)
-                            for h in injector.health.values()
-                        )
-                    )
-                )
+                and backoffs_pending == 0
+                and not any(parked.values())
+                and not any(h.stalled(sim.now) for h in injector.health.values())
             ):
                 raise DispatchError(
                     f"policy dead-locked with {policy.pending()} jobs pending"
@@ -767,14 +762,13 @@ class Dispatcher:
             # empty arrival list schedules nothing at all.
             for arrival in open_loop.arrivals:
                 sim.at_arrival(arrival, handle_arrival)
-        if injector is not None:
-            # The plan's timed faults become first-class sim events.
-            for event in faults.timed_events():
-                sim.at(event.time, fire_fault, event)
+        # The plan's timed faults become first-class sim events.
+        for event in faults.timed_events():
+            sim.at(event.time, fire_fault, event)
         makespan = sim.run()
         if policy.pending() > 0:
             raise DispatchError(f"{policy.pending()} jobs never dispatched")
-        if injector is not None:
+        if faults:
             # Fault machinery (stall ends, backoff probes) can outlive
             # the last completion; the makespan is the end of useful
             # work, comparable with the fault-free run's.
@@ -794,5 +788,5 @@ class Dispatcher:
             metrics=metrics,
             decisions=decisions,
             failed_jobs=failed_jobs,
-            fault_summary=injector.summary() if injector is not None else None,
+            fault_summary=injector.summary() if faults else None,
         )

@@ -71,6 +71,10 @@ class AdaptivePolicy(DispatchPolicy):
         if self._plans is not None:
             self._plans.pop(job.job_id, None)
 
+    def job_failed(self, job: Job, now: float) -> None:
+        if self._plans is not None:
+            self._plans.pop(job.job_id, None)
+
     # -- graceful degradation (repro.faults) ---------------------------
     def _scaled_time(self, entry: PlannedJob, kind: MemoryKind) -> float:
         return entry.est_time / self._derate.get(kind, 1.0)

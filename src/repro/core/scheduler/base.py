@@ -115,6 +115,11 @@ class DispatchPolicy(abc.ABC):
     def notify_completion(self, job: Job, kind: MemoryKind, now: float) -> None:
         """Hook: a dispatched job finished (adaptive policies use it)."""
 
+    def job_failed(self, job: Job, now: float) -> None:
+        """Hook: a job the dispatcher owned failed for good at ``now``
+        (retry budget spent, or no surviving device fits).  It never
+        reaches :meth:`notify_completion`; policies drop its state."""
+
     # -- online admission (repro.serving) ------------------------------
     def admit(self, jobs: list[Job], now: float) -> list[Job]:
         """Open-system hook: ``jobs`` arrived at ``now`` and want in.

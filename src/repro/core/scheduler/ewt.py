@@ -109,6 +109,10 @@ class EWTPolicy(DispatchPolicy):
         if self._plans is not None:
             self._plans.pop(job.job_id, None)
 
+    def job_failed(self, job: Job, now: float) -> None:
+        if self._plans is not None:
+            self._plans.pop(job.job_id, None)
+
     def next_dispatches(self, view: ResourceView) -> list[Dispatch]:
         dispatches: list[Dispatch] = []
         free_slots = dict(view.free_slots)

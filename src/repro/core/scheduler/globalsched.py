@@ -214,6 +214,10 @@ class GlobalPolicy(DispatchPolicy):
         if self._plans is not None:
             self._plans.pop(job.job_id, None)
 
+    def job_failed(self, job: Job, now: float) -> None:
+        if self._plans is not None:
+            self._plans.pop(job.job_id, None)
+
     def next_event_time(self, now: float) -> float | None:
         if not self._schedule:
             return None

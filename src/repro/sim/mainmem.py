@@ -144,6 +144,9 @@ class SharedBandwidthPipe:
         # Floating-point drain may leave the finishing transfer with a
         # vanishing remainder; clamp it out.
         transfer.remaining = 0.0
+        # The fired event's args hold the transfer: drop the handle so
+        # the finished transfer is not left in a reference cycle.
+        transfer.handle = None
         self._active.remove(transfer)
         self._reschedule()
         if self.on_occupancy is not None:

@@ -1,4 +1,8 @@
-"""Event-driven dispatcher: lifecycle, contention, energy, errors."""
+"""Event-driven dispatcher: lifecycle, contention, energy, errors,
+and per-run state sized by live jobs."""
+
+import gc
+import weakref
 
 import pytest
 
@@ -8,10 +12,16 @@ from repro.core import (
     Job,
     JobPerfProfile,
     MLIMPSystem,
+    OraclePredictor,
 )
+from repro.core import dispatcher as dispatcher_module
+from repro.core.runtime import SCHEDULERS
 from repro.core.scheduler.base import Dispatch, DispatchPolicy, ResourceView
+from repro.faults import FaultEvent, FaultKind, FaultPlan
+from repro.harness.config import full_system
 from repro.memories import ArrayGeometry, MemoryKind, MemorySpec
 from repro.sim import DDR4Config, EnergyCategory, Phase
+from tests.prophelpers import make_jobs, serve_overloaded
 
 
 def spec(kind=MemoryKind.SRAM, arrays=32, fill_gbps=100.0) -> MemorySpec:
@@ -356,3 +366,85 @@ class TestResultMetrics:
         result = Dispatcher(system).run(StaticPolicy([]))
         assert result.mean_latency() == 0.0
         assert result.tail_latency() == 0.0
+
+
+class TestLiveState:
+    """A run's garbage and flight table follow live jobs, not history."""
+
+    @staticmethod
+    def _cyclic_garbage_after_serve(horizon: float) -> int:
+        gc.collect()
+        gc.disable()
+        try:
+            served = serve_overloaded("adaptive", horizon=horizon)
+            assert served.report.completed > 200
+            # The result stays referenced: only what the run's own
+            # reference cycles hold is counted.
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_cyclic_garbage_does_not_grow_with_horizon(self):
+        """Finished jobs are freed by reference counting.  Only the
+        run's fixed set of shared handlers is left for the cyclic
+        collector, so doubling the horizon adds nothing."""
+        short = self._cyclic_garbage_after_serve(0.00025)
+        long = self._cyclic_garbage_after_serve(0.0005)
+        assert long <= short, (short, long)
+
+    def test_flight_table_holds_only_unfinished_jobs(self, monkeypatch):
+        """Under a derate-only plan no job retries or migrates, so at
+        every completion the live flights number at most the jobs
+        launched and not yet finished (the finishing one included)."""
+        live = weakref.WeakSet()
+
+        class Tracked(dispatcher_module._Flight):
+            __hash__ = object.__hash__
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                live.add(self)
+
+        monkeypatch.setattr(dispatcher_module, "_Flight", Tracked)
+        system = full_system()
+        jobs = make_jobs(0, count=40)
+        policy = SCHEDULERS["adaptive"](OraclePredictor()).plan(jobs, system)
+        launched: set[str] = set()
+        finished: set[str] = set()
+        samples: list[tuple[int, int]] = []
+        dispatch, complete = policy.next_dispatches, policy.notify_completion
+
+        def next_dispatches(view):
+            dispatches = dispatch(view)
+            launched.update(d.job.job_id for d in dispatches)
+            return dispatches
+
+        def notify_completion(job, kind, now):
+            samples.append((len(live), len(launched - finished)))
+            finished.add(job.job_id)
+            complete(job, kind, now)
+
+        policy.next_dispatches = next_dispatches
+        policy.notify_completion = notify_completion
+        plan = FaultPlan(
+            events=(
+                FaultEvent(
+                    kind=FaultKind.DERATE,
+                    device=MemoryKind.SRAM,
+                    time=5e-6,
+                    factor=0.5,
+                ),
+                FaultEvent(
+                    kind=FaultKind.DERATE,
+                    device=MemoryKind.RERAM,
+                    time=1e-5,
+                    factor=0.7,
+                ),
+            )
+        )
+        result = Dispatcher(system).run(policy, faults=plan)
+        assert len(result.records) == len(jobs)
+        assert len(result.fault_summary["injected"]) == 2
+        assert len(samples) == len(jobs)
+        over = [(flights, left) for flights, left in samples if flights > left]
+        assert not over, over[:5]

@@ -29,8 +29,9 @@ from tests.prophelpers import SCHEDULERS, make_jobs, run_batch, trace_key
 @pytest.mark.parametrize("seed", (0, 5, 11))
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 def test_empty_plan_is_byte_identical(scheduler, seed):
-    """An empty FaultPlan leaves the dispatcher on the exact
-    fault-free code path."""
+    """Every run is a fault-plan run; an empty plan is exactly no
+    plan.  Only a non-empty plan switches the makespan to the trace's
+    end of work and attaches a fault summary."""
     plain = run_batch(scheduler, make_jobs(seed))
     gated = run_batch(scheduler, make_jobs(seed), faults=FaultPlan.empty())
     assert trace_key(gated) == trace_key(plain)

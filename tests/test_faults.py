@@ -83,6 +83,25 @@ class StaticPolicy(DispatchPolicy):
         return out
 
 
+class TimedPolicy(DispatchPolicy):
+    """Hands over each dispatch once sim time reaches its release time
+    (``next_event_time`` wakes the dispatcher for it), fit or not."""
+
+    def __init__(self, timed: list[tuple[float, Dispatch]]):
+        self._queue = list(timed)
+
+    def pending(self) -> int:
+        return len(self._queue)
+
+    def next_event_time(self, now: float) -> float | None:
+        return min((at for at, _ in self._queue), default=None)
+
+    def next_dispatches(self, view: ResourceView) -> list[Dispatch]:
+        out = [d for at, d in self._queue if at <= view.now]
+        self._queue = [(at, d) for at, d in self._queue if at > view.now]
+        return out
+
+
 def make_system(*specs_) -> MLIMPSystem:
     return MLIMPSystem(specs={s.kind: s for s in specs_})
 
@@ -388,6 +407,56 @@ class TestDispatcherDegradation:
         )
         with pytest.raises(DispatchError):
             Dispatcher(system).run(policy)
+
+    @pytest.mark.parametrize(
+        "plan",
+        (
+            None,
+            FaultPlan.empty(),
+            FaultPlan(
+                events=(
+                    FaultEvent(
+                        kind=FaultKind.DERATE,
+                        device=MemoryKind.SRAM,
+                        time=0.0,
+                        factor=0.5,
+                    ),
+                )
+            ),
+        ),
+        ids=("no-plan", "empty-plan", "derate-plan"),
+    )
+    def test_redispatching_a_completed_job_raises(self, plan):
+        system = make_system(spec(MemoryKind.SRAM))
+        a = Dispatch(job=job("a"), kind=MemoryKind.SRAM, arrays=4)
+        done = Dispatcher(system).run(TimedPolicy([(0.0, a)]), faults=plan)
+        assert done.records["a"].finished_at < 1.0
+        with pytest.raises(DispatchError, match="dispatched twice"):
+            Dispatcher(system).run(
+                TimedPolicy([(0.0, a), (1.0, a)]), faults=plan
+            )
+
+    def test_redispatching_a_failed_job_raises(self):
+        system = make_system(spec(MemoryKind.SRAM))
+        a = Dispatch(job=job("a"), kind=MemoryKind.SRAM, arrays=4)
+        # Stalled mid-run with a one-attempt budget: the job fails.
+        plan = FaultPlan(
+            events=(
+                FaultEvent(
+                    kind=FaultKind.STALL,
+                    device=MemoryKind.SRAM,
+                    time=5e-5,
+                    duration=10.0,
+                ),
+            ),
+            retry=RetryPolicy(base_backoff_s=1e-6, max_attempts=1),
+        )
+        failed = Dispatcher(system).run(TimedPolicy([(0.0, a)]), faults=plan)
+        assert set(failed.failed_jobs) == {"a"}
+        with pytest.raises(DispatchError, match="dispatched twice"):
+            Dispatcher(system).run(
+                TimedPolicy([(0.0, a), (1.0, a)]), faults=plan
+            )
 
 
 class TestWearBridge:

@@ -1,18 +1,23 @@
 """Scheduler state is sized by live jobs, not by run history.
 
 A policy's plan table (``_plans``) holds a job from admit to
-completion, and Algorithm 1 ranks only the jobs still queued.  These
+completion or failure, and Algorithm 1 ranks only the jobs still
+queued.  These
 checks count entries on seeded overloaded serves; they read no clock.
 """
 
 import pytest
 
-from repro.core import OraclePredictor
+from repro.core import Dispatcher, OraclePredictor
 from repro.core.runtime import SCHEDULERS
 from repro.core.scheduler import adaptive
+from repro.faults import FaultEvent, FaultKind, FaultPlan, RetryPolicy
+from repro.harness.config import full_system
+from repro.memories import MemoryKind
 from tests.prophelpers import (
     PLAN_TABLE_SCHEDULERS,
     device_loss_plan,
+    make_jobs,
     serve_overloaded,
 )
 
@@ -91,4 +96,26 @@ def test_plan_table_holds_only_live_jobs(name, faulted):
     assert not served.result.failed_jobs
     assert not violations, violations[:5]
     (policy,) = policies
+    assert not policy._plans, f"{len(policy._plans)} plans left after drain"
+
+
+@pytest.mark.parametrize("name", PLAN_TABLE_SCHEDULERS)
+def test_failed_jobs_leave_the_plan_table(name):
+    """A job whose retry budget runs out never completes; the
+    ``job_failed`` hook drops its plan instead."""
+    system = full_system()
+    policy = SCHEDULERS[name](OraclePredictor()).plan(make_jobs(0), system)
+    plan = FaultPlan(
+        events=(
+            FaultEvent(
+                kind=FaultKind.STALL,
+                device=MemoryKind.SRAM,
+                time=1e-6,
+                duration=1.0,
+            ),
+        ),
+        retry=RetryPolicy(base_backoff_s=1e-6, max_attempts=2),
+    )
+    result = Dispatcher(system).run(policy, faults=plan)
+    assert len(result.failed_jobs) == 5
     assert not policy._plans, f"{len(policy._plans)} plans left after drain"

@@ -1,5 +1,8 @@
 """Shared-bandwidth main-memory model."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +96,27 @@ class TestContention:
         sim.run()
         assert pipe.total_bytes == pytest.approx(3e6)
         assert pipe.energy_j() > 0
+
+    def test_finished_transfer_leaves_no_reference_cycle(self):
+        """Reference counting alone frees a finished transfer's
+        callback: nothing waits for the cyclic collector."""
+
+        class Callback:
+            def __call__(self) -> None:
+                pass
+
+        sim, pipe = make_pipe()
+        callbacks = [Callback(), Callback()]
+        alive = [weakref.ref(callback) for callback in callbacks]
+        gc.disable()
+        try:
+            for callback in callbacks:
+                pipe.submit(1e6, callback)
+            del callbacks, callback
+            sim.run()
+            assert [ref() for ref in alive] == [None, None]
+        finally:
+            gc.enable()
 
 
 @settings(max_examples=50, deadline=None)
