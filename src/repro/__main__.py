@@ -62,8 +62,15 @@ def cmd_specs() -> int:
 
 def cmd_fault_demo(args: argparse.Namespace) -> int:
     """Run one combo under a fault plan and print its degraded report."""
+    from .apps import COMBOS
     from .harness.faultdemo import run_fault_demo
 
+    if args.combo not in COMBOS:
+        print(
+            f"unknown combo {args.combo!r}; choose from {', '.join(COMBOS)}",
+            file=sys.stderr,
+        )
+        return 2
     result = run_fault_demo(
         args.faults, scheduler=args.scheduler, combo=args.combo
     )

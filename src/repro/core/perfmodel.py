@@ -20,14 +20,35 @@ picks the *knee* -- the ``m`` maximising the angular speed
 
 Performance layer
 -----------------
-Schedulers re-solve identical knee searches thousands of times per
-dispatch round (every job is planned on every memory, and the global
-scheduler replans the adaptive queues).  Both estimate classes are
-frozen (hashable by value), so the searches are memoised behind small
-LRU caches keyed on ``(estimate, max_arrays)``; the grid/inversion
-math is evaluated with one NumPy batch per grid instead of per-point
-Python loops.  The caches are switchable, which gives tests their
-uncached reference::
+Schedulers size every job on every memory it fits (and the global
+scheduler replans the adaptive queues), thousands of searches per run
+on grids of at most 48 points, where NumPy call overhead outweighs the
+arithmetic.  Two kinds of LRU memo keep that cheap:
+
+* **Search terms** (``perfmodel.grid``, ``perfmodel.terms``).  Most
+  of a search depends on the grid shape alone.  The grid and the
+  coefficients of the two angle gradients over the normalised grid
+  are keyed by ``(unit_arrays, whole replicas in the cap)``; the curve
+  factors that involve no job time -- ``replicas - 1``, ``waves`` and
+  ``effective ** overhead_delta`` for a :class:`ProfileEstimate`,
+  ``max(0, replicas - 1)`` and ``(unit / a) ** beta`` for a
+  :class:`ScaleFreeEstimate` -- add ``waves_unit`` and
+  ``overhead_delta``, or the max useful arrays and ``beta``, to that
+  key.  A serve run plans thousands of jobs on a few dozen keys.  A
+  search combines the cached terms with the job's times by the same
+  floating-point operations, in the same order, as
+  ``total_time_batch`` and ``np.gradient`` would, so every knee,
+  min-time and t^-1 answer is bit-identical to pricing the grid from
+  scratch (``tests/test_perfmodel_identity.py`` keeps that plain
+  search as its oracle).
+* **Answers** (``perfmodel.knee``, ``perfmodel.min_time``).  Both
+  estimate classes are frozen, so whole searches are memoised on
+  ``(curve_key(), whole replicas in the cap)``.  They pay on closed
+  batches, where many jobs share one curve; on open workloads every
+  job brings its own curve and only the terms hit.
+
+Every cache is switchable, which gives tests their uncached
+reference::
 
     from repro.core import perfmodel
     perfmodel.configure(cache_enabled=False)  # uncached reference
@@ -142,7 +163,8 @@ class _LRUCache:
 _GRID_CACHE = _LRUCache("perfmodel.grid")
 _KNEE_CACHE = _LRUCache("perfmodel.knee")
 _MIN_TIME_CACHE = _LRUCache("perfmodel.min_time")
-_ALL_CACHES = (_GRID_CACHE, _KNEE_CACHE, _MIN_TIME_CACHE)
+_TERMS_CACHE = _LRUCache("perfmodel.terms")
+_ALL_CACHES = (_GRID_CACHE, _KNEE_CACHE, _MIN_TIME_CACHE, _TERMS_CACHE)
 
 
 def perf_config() -> PerfModelConfig:
@@ -454,18 +476,6 @@ def _grid_times(estimate, grid: np.ndarray) -> np.ndarray:
     return np.asarray([estimate.total_time(int(m)) for m in grid], dtype=float)
 
 
-def _invert_total_time(estimate, target_seconds: float, max_arrays: int) -> int:
-    """Shared t^{-1} implementation over the replica-multiple grid."""
-    if target_seconds <= 0:
-        raise ValueError("target must be positive")
-    grid = allocation_grid(estimate, max(estimate.unit_arrays, max_arrays))
-    times = _grid_times(estimate, grid)
-    meets = np.nonzero(times <= target_seconds)[0]
-    if meets.size:
-        return int(grid[int(meets[0])])
-    return int(grid[int(np.argmin(times))])
-
-
 def allocation_grid(estimate, max_arrays: int, points: int = 48) -> np.ndarray:
     """Feasible allocations from the unit allocation up to ``max_arrays``.
 
@@ -481,26 +491,161 @@ def allocation_grid(estimate, max_arrays: int, points: int = 48) -> np.ndarray:
     lo = estimate.unit_arrays
     if max_arrays < lo:
         raise ValueError("max_arrays below the unit allocation")
-    max_replicas = max_arrays // lo
-    # The grid depends only on the replica count, so caps that differ
-    # by less than one replica (or by int-vs-float type) share an
-    # entry.
-    key = (lo, int(max_replicas), points)
+    return _grid_geometry(lo, int(max_arrays // lo), points)[0]
+
+
+def _grid_geometry(lo: int, max_replicas: int, points: int = 48) -> tuple:
+    """``(grid, gradient)`` for a unit allocation and a replica cap.
+
+    ``gradient`` is :func:`_gradient1d`'s three interior coefficient
+    arrays and two edge denominators over the normalised grid, or
+    ``None`` for a single-point grid.  Memoised in ``perfmodel.grid``:
+    the grid depends only on the replica count, so caps that differ by
+    less than one replica (or by int-vs-float type) share an entry.
+    """
+    key = (lo, max_replicas, points)
     if _CONFIG.cache_enabled:
         cached = _GRID_CACHE.get(key)
         if cached is not _MISSING:
             return cached
     if max_replicas <= 1:
-        grid = np.asarray([lo])
+        geometry = (np.asarray([lo]), None)
     else:
         replicas = np.unique(
             np.round(np.geomspace(1, max_replicas, num=points)).astype(int)
         )
         grid = replicas[replicas >= 1] * lo
+        # Normalise the allocation axis so the angle is scale-invariant;
+        # otherwise the knee depends on the units of seconds vs arrays.
+        x = (grid - grid[0]) / max(1, (grid[-1] - grid[0]))
+        dx = np.diff(x)
+        dx1 = dx[:-1]
+        dx2 = dx[1:]
+        gradient = (
+            -(dx2) / (dx1 * (dx1 + dx2)),
+            (dx2 - dx1) / (dx1 * dx2),
+            dx1 / (dx2 * (dx1 + dx2)),
+            dx[0],
+            dx[-1],
+        )
+        geometry = (grid, gradient)
     if _CONFIG.cache_enabled:
-        grid.setflags(write=False)
-        _GRID_CACHE.put(key, grid)
-    return grid
+        geometry[0].setflags(write=False)
+        _GRID_CACHE.put(key, geometry)
+    return geometry
+
+
+class _SearchTerms:
+    """What an allocation search computes from its grid shape alone.
+
+    ``grid`` and ``gradient`` come from :func:`_grid_geometry`.
+    ``load_steps`` and ``scale`` (and ``waves``) are the curve factors
+    that depend on the grid and the shape fields only:
+
+    * :class:`ProfileEstimate`: ``replicas - 1``, ``waves`` and
+      ``effective ** overhead_delta``;
+    * :class:`ScaleFreeEstimate`: ``max(0, replicas - 1)`` and
+      ``(unit / a) ** beta`` (``waves`` unused).
+
+    Duck-typed estimates (``shape`` ``None``) get the grid and gradient
+    only and price the grid through :func:`_grid_times`.
+    """
+
+    __slots__ = ("shape", "grid", "gradient", "load_steps", "waves", "scale")
+
+    def __init__(self, shape, unit: int, max_replicas: int) -> None:
+        self.shape = shape
+        grid, self.gradient = _grid_geometry(unit, max_replicas)
+        self.grid = grid
+        self.load_steps = self.waves = self.scale = None
+        if shape is None:
+            return
+        if shape[0] == "prof":
+            # JobPerfProfile.{load,compute}_time_batch, minus the fields
+            # the job brings.  ``replicas - 1`` is stored as float: its
+            # product with ``t_replica_unit`` made that (exact) cast.
+            _, waves_unit, overhead_delta = shape
+            replicas = np.minimum(grid // unit, waves_unit)
+            waves = np.ceil(waves_unit / replicas)
+            effective = np.ceil(waves_unit / waves)
+            self.load_steps = (replicas - 1).astype(float)
+            self.waves = waves
+            self.scale = effective**overhead_delta
+        else:
+            # ScaleFreeEstimate.total_time_batch, likewise.
+            _, max_useful_arrays, beta = shape
+            a = np.asarray(grid, dtype=float)
+            if max_useful_arrays is not None:
+                a = np.minimum(a, float(max_useful_arrays))
+            self.load_steps = np.maximum(0.0, a / unit - 1.0)
+            self.scale = (unit / a) ** beta
+
+
+def _curve_shape(estimate):
+    """The estimate fields besides the grid that :class:`_SearchTerms`
+    depend on, tagged by class; ``None`` for any other estimate type
+    (a subclass may price the grid differently)."""
+    cls = type(estimate)
+    if cls is ProfileEstimate:
+        profile = estimate.profile
+        return ("prof", profile.waves_unit, profile.overhead_delta)
+    if cls is ScaleFreeEstimate:
+        return ("sf", estimate.max_useful_arrays, estimate.beta)
+    return None
+
+
+def _search_terms(estimate, max_arrays: int) -> _SearchTerms:
+    """The memoised grid-only terms of a search up to ``max_arrays``.
+
+    Keyed by ``(unit_arrays, whole replicas in max_arrays, shape)``:
+    a serve run plans thousands of jobs on a few dozen such keys.
+    """
+    shape = _curve_shape(estimate)
+    unit = estimate.unit_arrays
+    if max_arrays < unit:
+        raise ValueError("max_arrays below the unit allocation")
+    max_replicas = int(max_arrays // unit)
+    key = (unit, max_replicas, shape)
+    if _CONFIG.cache_enabled:
+        cached = _TERMS_CACHE.get(key)
+        if cached is not _MISSING:
+            return cached
+    terms = _SearchTerms(shape, unit, max_replicas)
+    if _CONFIG.cache_enabled:
+        _TERMS_CACHE.put(key, terms)
+    return terms
+
+
+def _search_times(estimate, terms: _SearchTerms) -> np.ndarray:
+    """t(x, m) over ``terms.grid``: the job's fields combined with the
+    cached terms by the same operations, in the same order, as the
+    estimate's ``total_time_batch`` -- so the floats are identical."""
+    shape = terms.shape
+    if shape is None:
+        return _grid_times(estimate, terms.grid)
+    if shape[0] == "prof":
+        profile = estimate.profile
+        per_wave = profile.t_compute_unit / profile.waves_unit
+        return profile.n_iter * (
+            (profile.t_load + profile.t_replica_unit * terms.load_steps)
+            + terms.waves * per_wave * terms.scale * estimate.compute_scale
+        )
+    return estimate.n_iter * (
+        (estimate.t_load + estimate.t_replica_unit * terms.load_steps)
+        + estimate.t_compute_unit * terms.scale
+    )
+
+
+def _invert_total_time(estimate, target_seconds: float, max_arrays: int) -> int:
+    """Shared t^{-1} implementation over the replica-multiple grid."""
+    if target_seconds <= 0:
+        raise ValueError("target must be positive")
+    terms = _search_terms(estimate, max(estimate.unit_arrays, max_arrays))
+    times = _search_times(estimate, terms)
+    meets = np.nonzero(times <= target_seconds)[0]
+    if meets.size:
+        return int(terms.grid[int(meets[0])])
+    return int(terms.grid[int(np.argmin(times))])
 
 
 def _estimate_key(estimate, max_arrays: int):
@@ -538,9 +683,9 @@ def min_time_allocation(estimate, max_arrays: int) -> int:
         cached = _MIN_TIME_CACHE.get(key)
         if cached is not _MISSING:
             return cached
-    grid = allocation_grid(estimate, max_arrays)
-    times = _grid_times(estimate, grid)
-    result = int(grid[int(np.argmin(times))])
+    terms = _search_terms(estimate, max_arrays)
+    times = _search_times(estimate, terms)
+    result = int(terms.grid[int(np.argmin(times))])
     if key is not None:
         _MIN_TIME_CACHE.put(key, result)
     return result
@@ -560,43 +705,40 @@ def knee_allocation(estimate, max_arrays: int) -> int:
     return result
 
 
-def _gradient1d(f: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.gradient(f, x)`` for 1-D arrays, bit-identical but without
-    the generic axis/shape machinery (the knee search calls this twice
-    per cache miss on small grids, where that overhead dominates)."""
+def _gradient1d(f: np.ndarray, coefficients: tuple) -> np.ndarray:
+    """``np.gradient(f, x)`` for 1-D arrays, bit-identical, from the
+    coefficients :class:`_SearchTerms` precomputed over ``x`` (the
+    generic axis/shape machinery and the spacing arithmetic dominate
+    on grids this small)."""
+    a, b, c, dx_first, dx_last = coefficients
     out = np.empty_like(f)
-    dx = np.diff(x)
-    dx1 = dx[:-1]
-    dx2 = dx[1:]
-    a = -(dx2) / (dx1 * (dx1 + dx2))
-    b = (dx2 - dx1) / (dx1 * dx2)
-    c = dx1 / (dx2 * (dx1 + dx2))
     out[1:-1] = a * f[:-2] + b * f[1:-1] + c * f[2:]
-    out[0] = (f[1] - f[0]) / dx[0]
-    out[-1] = (f[-1] - f[-2]) / dx[-1]
+    out[0] = (f[1] - f[0]) / dx_first
+    out[-1] = (f[-1] - f[-2]) / dx_last
     return out
 
 
 def _knee_allocation_impl(estimate, max_arrays: int) -> int:
-    grid = allocation_grid(estimate, max_arrays)
-    if len(grid) == 1:
+    terms = _search_terms(estimate, max_arrays)
+    grid = terms.grid
+    if terms.gradient is None:
         return int(grid[0])
-    times = _grid_times(estimate, grid)
+    times = _search_times(estimate, terms)
 
-    # Normalise both axes so the angle is scale-invariant; otherwise
-    # the knee depends on the units of seconds vs arrays.
-    x = (grid - grid[0]) / max(1, (grid[-1] - grid[0]))
-    t_span = times.max() - times.min()
+    # Normalise the time axis too (the allocation axis is normalised
+    # in the cached gradient coefficients).  The ufunc reductions are
+    # what ndarray.min/max run, minus their Python-level wrapper.
+    t_min = np.minimum.reduce(times)
+    t_span = np.maximum.reduce(times) - t_min
     if t_span <= 0.0:
         # Flat curve: no benefit from more than the unit allocation.
         return int(grid[0])
-    y = (times - times.min()) / t_span
+    y = (times - t_min) / t_span
 
-    slope = _gradient1d(y, x)
+    slope = _gradient1d(y, terms.gradient)
     theta = np.arctan(slope)
-    dtheta = np.abs(_gradient1d(theta, x))
-    knee_idx = int(np.argmax(dtheta))
-    knee = int(grid[knee_idx])
+    dtheta = np.abs(_gradient1d(theta, terms.gradient))
+    knee = int(grid[dtheta.argmax()])
 
     # Guard: never pick an allocation that is *worse* than the unit
     # allocation (possible when replication cost dominates).

@@ -87,6 +87,17 @@ class LJFPolicy(DispatchPolicy):
             free_run[kind] -= head.arrays
         return dispatches
 
+    def notify_completion(self, job: Job, kind: MemoryKind, now: float) -> None:
+        # Candidates live from admit to completion: ``device_lost``
+        # re-places in-flight victims through them, so dispatch keeps
+        # them.
+        if self._candidates is not None:
+            self._candidates.pop(job.job_id, None)
+
+    def job_failed(self, job: Job, now: float) -> None:
+        if self._candidates is not None:
+            self._candidates.pop(job.job_id, None)
+
     # -- online admission (repro.serving) ------------------------------
     def admit(self, jobs: list[Job], now: float) -> list[Job]:
         """Arrival-awareness: size each arrival on every surviving

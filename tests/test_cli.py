@@ -108,9 +108,11 @@ class TestFaultsCommand:
         assert main(["run", "table3", "--faults", self.SMOKE_PLAN]) == 2
         assert "not combinable" in capsys.readouterr().err
 
-    def test_faults_unknown_combo(self):
-        with pytest.raises(ValueError, match="unknown combo"):
-            main(["run", "--faults", self.SMOKE_PLAN, "--combo", "Z"])
+    def test_faults_unknown_combo(self, capsys):
+        assert main(["run", "--faults", self.SMOKE_PLAN, "--combo", "Z"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "unknown combo 'Z'" in err
 
 
 class TestServeCommand:

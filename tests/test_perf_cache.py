@@ -5,6 +5,9 @@ answer here is compared against the uncached / scalar reference across
 a parameter sweep.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -235,3 +238,49 @@ class TestMinTimeCacheOnFig10Sweep:
         # Well clear of zero, well short of flaky: the collab sweep
         # measured ~54% when the key fix landed.
         assert stats["hit_rate"] > 0.25
+
+
+def _report_digest(served) -> str:
+    text = json.dumps(served.report.as_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestSearchTermsCache:
+    """The grid-shape memo every knee / min-time / t^-1 search reads.
+
+    Clock-free: hit ratios, occupancy and report digests only."""
+
+    def test_listed_in_runtime_snapshot(self):
+        from repro.obs.metrics import runtime_snapshot
+
+        assert "perfmodel.terms" in perfmodel.cache_stats()
+        assert "perfmodel.terms" in runtime_snapshot()["caches"]
+
+    def test_hits_on_overloaded_serve_and_stays_bounded(self):
+        from tests.prophelpers import serve_overloaded
+
+        served = serve_overloaded("adaptive")
+        assert served.report.completed > 500
+        stats = perfmodel.cache_stats()["perfmodel.terms"]
+        assert stats["hits"] + stats["misses"] > 1000
+        assert stats["hit_rate"] > 0.9
+        assert 0 < stats["size"] <= perfmodel.CACHE_MAXSIZE
+
+    def test_switching_caches_off_keeps_the_serve_report(self):
+        from tests.prophelpers import serve_overloaded
+
+        cached = _report_digest(serve_overloaded("adaptive"))
+        perfmodel.configure(cache_enabled=False)
+        perfmodel.clear_caches()
+        assert _report_digest(serve_overloaded("adaptive")) == cached
+        assert perfmodel.cache_stats()["perfmodel.terms"]["size"] == 0
+
+    def test_quick_bench_caches_are_healthy(self):
+        """``repro bench --quick`` (the CI ``bench-smoke`` gate): no
+        cache with lookups and no hits, and the closed-batch targets
+        reuse search terms."""
+        from repro.harness.bench import check_cache_health, run_bench
+
+        payload = run_bench(quick=True)
+        assert check_cache_health(payload) == []
+        assert payload["caches"]["perfmodel.terms"]["hits"] > 0
